@@ -7,7 +7,7 @@ Three pieces:
 * :mod:`repro.fuzz.oracle` — the differential oracle that runs each
   program through every independent execution path (interpreter, both
   compile levels, the SRISC/OOO baseline, the cycle-level simulator, and
-  the three cycle-engine tiers ± telemetry ± NUCA) and flags divergences,
+  the two cycle-engine tiers ± telemetry ± NUCA) and flags divergences,
 * :mod:`repro.fuzz.minimize` / :mod:`repro.fuzz.corpus` — automatic
   failure minimization and the checked-in regression corpus replayed by
   tier-1 (``tests/fuzz/corpus/``).

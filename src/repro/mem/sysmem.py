@@ -41,15 +41,10 @@ class SysMemConfig:
     dram_cycles: int = 80
     mt: MtConfig = field(default_factory=MtConfig)
     vcs: int = 4
-    #: False selects the full-scan OCN router loop (escape hatch, mirrors
+    #: fast OCN engine — active-set router stepping plus express
+    #: routing; False selects the full-scan reference loop (mirrors
     #: :attr:`repro.uarch.config.TripsConfig.fast_path`)
-    active_set: bool = True
-    #: express OCN routing: conflict-free packets are delivered at their
-    #: computed arrival time via link reservations instead of hop-by-hop
-    #: stepping (mirrors
-    #: :attr:`repro.uarch.config.TripsConfig.express_routing`; only active
-    #: together with ``active_set``)
-    express: bool = True
+    fast_path: bool = True
 
 
 @dataclass
@@ -77,9 +72,7 @@ class SecondaryMemory:
         self.backing = backing if backing is not None else BackingStore()
         self.ocn = WormholeMesh(ROWS, COLS, vcs=self.config.vcs,
                                 queue_depth=2,
-                                active_set=self.config.active_set,
-                                express=self.config.express
-                                and self.config.active_set)
+                                fast_path=self.config.fast_path)
         # 16 MTs in the two middle columns
         self.mt_coords = [(r, c) for c in (1, 2) for r in range(8)]
         self.mts = [MemoryTile(i, self.config.mt) for i in range(16)]
@@ -208,8 +201,8 @@ class SecondaryMemory:
         # deliveries at MTs and back at the processor/I/O ports (the
         # pending-set check skips 24 per-coordinate scans on quiet cycles)
         # fast engine: visit only coordinates with packets waiting; the
-        # escape hatch keeps the original engine's unconditional scan
-        pending = self.ocn.delivery_pending if self.config.active_set \
+        # reference engine keeps the original unconditional scan
+        pending = self.ocn.delivery_pending if self.config.fast_path \
             else None
         if pending is None or pending:
             take = self.ocn.take_delivered

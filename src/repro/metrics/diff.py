@@ -11,7 +11,7 @@ Spec grammar (everything but the workload is optional)::
 
     qr@hand/nuca              qr, hand-optimized code, NUCA memory
     sha@tcc                   sha, tcc code, perfect L2 (the default)
-    vadd@hand-express_routing vadd with express routing disabled
+    vadd@hand-fast_path       vadd on the full-scan reference engine
 
 ``level`` is ``hand``/``tcc``; ``mem`` is ``l2perfect``/``nuca``
 (mapping to ``TripsConfig.perfect_l2``); ``+flag``/``-flag`` toggles

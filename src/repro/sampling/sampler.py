@@ -150,6 +150,59 @@ def _counter_snapshot(stats) -> Dict[str, int]:
     return {name: getattr(stats, name) for name in RATE_FIELDS}
 
 
+def _detailed_window(program, config: TripsConfig, ff: FastForwarder,
+                     start: int, measure_blocks: int, telemetry,
+                     summaries: List[dict],
+                     **tags) -> Optional[WindowSample]:
+    """One measurement window: checkpoint ``ff``, resume a cycle-accurate
+    processor from it, warm up to block ``start`` (stats discarded) and
+    measure the next ``measure_blocks``.  None when the program ends
+    before a block is measured.  ``tags`` are the phase-clustered
+    scheduler's ``phase``/``weight``."""
+    proc = TripsProcessor(program, config, telemetry=telemetry,
+                          checkpoint=take_checkpoint(ff))
+    warm_target = start - ff.stats.blocks
+    if warm_target:
+        proc.run(until_blocks=warm_target)
+    if proc.halted and proc.stats.blocks_committed <= warm_target:
+        return None             # program ended inside the warmup span
+    proc.finalize_stats()
+    cycles0 = proc.cycle
+    insts0 = proc.stats.insts_committed
+    reads0 = proc.stats.reads_committed
+    counters0 = _counter_snapshot(proc.stats)
+    proc.run(until_blocks=warm_target + measure_blocks)
+    proc.finalize_stats()
+    measured = proc.stats.blocks_committed - warm_target
+    if measured <= 0:
+        return None
+    counters = {name: getattr(proc.stats, name) - counters0[name]
+                for name in RATE_FIELDS}
+    if proc.tel is not None:
+        summaries.append(proc.tel.summary().to_dict())
+    return WindowSample(
+        start_block=start, blocks=measured,
+        cycles=proc.cycle - cycles0,
+        insts=proc.stats.insts_committed - insts0,
+        reads=proc.stats.reads_committed - reads0,
+        counters=counters, lsq_peak=proc.stats.lsq_peak, **tags)
+
+
+def _full_run_window(program, config: TripsConfig, telemetry,
+                     summaries: List[dict], **tags) -> WindowSample:
+    """The short-program fallback: one full-length window, i.e. ordinary
+    full simulation (exact, zero error)."""
+    proc = TripsProcessor(program, config, telemetry=telemetry)
+    stats = proc.run()
+    if proc.tel is not None:
+        summaries.append(proc.tel.summary().to_dict())
+    return WindowSample(
+        start_block=0, blocks=stats.blocks_committed,
+        cycles=stats.cycles, insts=stats.insts_committed,
+        reads=stats.reads_committed,
+        counters=_counter_snapshot(stats), lsq_peak=stats.lsq_peak, **tags)
+
+
 def _run_clustered(program, config: TripsConfig,
                    sampling: SamplingConfig, telemetry,
                    max_blocks: int) -> Tuple[SampledProcStats,
@@ -228,58 +281,24 @@ def _run_clustered(program, config: TripsConfig,
         ff.run_blocks(warm_start)
         if ff.halted:
             break
-        ckpt = take_checkpoint(ff)
-        proc = TripsProcessor(program, config, telemetry=telemetry,
-                              checkpoint=ckpt)
-        warm_target = start - ff.stats.blocks
-        if warm_target:
-            proc.run(until_blocks=warm_target)
-        if proc.halted and proc.stats.blocks_committed <= warm_target:
-            continue            # program ended inside the warmup span
-        proc.finalize_stats()
-        cycles0 = proc.cycle
-        insts0 = proc.stats.insts_committed
-        reads0 = proc.stats.reads_committed
-        counters0 = _counter_snapshot(proc.stats)
-        proc.run(until_blocks=warm_target + sampling.measure_blocks)
-        proc.finalize_stats()
-        measured = proc.stats.blocks_committed - warm_target
-        if measured <= 0:
-            continue
-        counters = {name: getattr(proc.stats, name) - counters0[name]
-                    for name in RATE_FIELDS}
-        windows.append(WindowSample(
-            start_block=start, blocks=measured,
-            cycles=proc.cycle - cycles0,
-            insts=proc.stats.insts_committed - insts0,
-            reads=proc.stats.reads_committed - reads0,
-            counters=counters, lsq_peak=proc.stats.lsq_peak,
-            phase=win.phase, weight=win.weight))
-        if proc.tel is not None:
-            summaries.append(proc.tel.summary().to_dict())
+        window = _detailed_window(program, config, ff, start,
+                                  sampling.measure_blocks, telemetry,
+                                  summaries, phase=win.phase,
+                                  weight=win.weight)
+        if window is not None:
+            windows.append(window)
 
+    k, weights = plan.k, plan.weights
     if not windows:
         # program shorter than one clustering interval (or every window
         # fell past program end): one full-length window == exact full
         # simulation, reported as a single phase of weight 1
-        proc = TripsProcessor(program, config, telemetry=telemetry)
-        stats = proc.run()
-        windows.append(WindowSample(
-            start_block=0, blocks=stats.blocks_committed,
-            cycles=stats.cycles, insts=stats.insts_committed,
-            reads=stats.reads_committed,
-            counters=_counter_snapshot(stats), lsq_peak=stats.lsq_peak,
-            phase=0, weight=1.0))
-        if proc.tel is not None:
-            summaries.append(proc.tel.summary().to_dict())
-        sampled = aggregate_phases(windows, prof.stats.blocks,
-                                   prof.stats.fired, prof.stats.reads,
-                                   k=1, phase_weights=[1.0])
-        return sampled, prof, summaries, plan
-
+        windows.append(_full_run_window(program, config, telemetry,
+                                        summaries, phase=0, weight=1.0))
+        k, weights = 1, [1.0]
     sampled = aggregate_phases(windows, prof.stats.blocks,
                                prof.stats.fired, prof.stats.reads,
-                               k=plan.k, phase_weights=plan.weights)
+                               k=k, phase_weights=weights)
     return sampled, prof, summaries, plan
 
 
@@ -320,47 +339,17 @@ def run_sampled_program(program, config: TripsConfig = PROTOTYPE,
         ff.run_blocks(warm_start)
         if ff.halted:
             break
-        ckpt = take_checkpoint(ff)
-        proc = TripsProcessor(program, config, telemetry=telemetry,
-                              checkpoint=ckpt)
-        warm_target = start - ff.stats.blocks
-        if warm_target:
-            proc.run(until_blocks=warm_target)
-        if proc.halted and proc.stats.blocks_committed <= warm_target:
-            continue            # program ended inside the warmup span
-        proc.finalize_stats()
-        cycles0 = proc.cycle
-        insts0 = proc.stats.insts_committed
-        reads0 = proc.stats.reads_committed
-        counters0 = _counter_snapshot(proc.stats)
-        proc.run(until_blocks=warm_target + sampling.measure_blocks)
-        proc.finalize_stats()
-        measured = proc.stats.blocks_committed - warm_target
-        if measured <= 0:
-            continue
-        counters = {name: getattr(proc.stats, name) - counters0[name]
-                    for name in RATE_FIELDS}
-        windows.append(WindowSample(
-            start_block=start, blocks=measured,
-            cycles=proc.cycle - cycles0,
-            insts=proc.stats.insts_committed - insts0,
-            reads=proc.stats.reads_committed - reads0,
-            counters=counters, lsq_peak=proc.stats.lsq_peak))
-        if proc.tel is not None:
-            summaries.append(proc.tel.summary().to_dict())
+        window = _detailed_window(program, config, ff, start,
+                                  sampling.measure_blocks, telemetry,
+                                  summaries)
+        if window is not None:
+            windows.append(window)
 
     if not windows:
         # program shorter than one sampling period: fall back to one
         # full-length window (= ordinary full simulation, zero error)
-        proc = TripsProcessor(program, config, telemetry=telemetry)
-        stats = proc.run()
-        windows.append(WindowSample(
-            start_block=0, blocks=stats.blocks_committed,
-            cycles=stats.cycles, insts=stats.insts_committed,
-            reads=stats.reads_committed,
-            counters=_counter_snapshot(stats), lsq_peak=stats.lsq_peak))
-        if proc.tel is not None:
-            summaries.append(proc.tel.summary().to_dict())
+        windows.append(_full_run_window(program, config, telemetry,
+                                        summaries))
 
     sampled = aggregate(windows, ff.stats.blocks, ff.stats.fired,
                         ff.stats.reads)

@@ -349,7 +349,13 @@ class TelemetryRecorder:
             return
         for tile, tl in self._tile_runs:
             tile.tel_account(tl, t0, t1)
-        self._gt_tl.add(IDLE, t0, t1)
+        # a stepped GT with a free frame reports the GDN backlog every
+        # cycle until the dispatch pipe drains, target known or not
+        blocked = min(t1, max(t0, self.proc.gdn_backlog_end()))
+        if blocked > t0:
+            self._gt_tl.add(GDN_BACKLOG, t0, blocked)
+        if t1 > blocked:
+            self._gt_tl.add(IDLE, blocked, t1)
 
     # -- block lifecycle -------------------------------------------------
     def block_fetched(self, uid: int, addr: int, seq: int, frame: int,

@@ -123,16 +123,6 @@ class LoadStoreQueue:
     def occupancy(self) -> int:
         return len(self.entries)
 
-    def is_idle(self) -> bool:
-        """True when the queue holds no in-flight entries.
-
-        LSQ state is passive — entries only change on message arrival,
-        commit, or flush — so a *non*-empty LSQ never blocks the fast
-        path by itself; this hook exists for quiescence assertions and
-        introspection (e.g. the fast-path tests).
-        """
-        return not self.entries
-
 
 def _overlap(addr_a: int, size_a: int, addr_b: int, size_b: int) -> bool:
     return addr_a < addr_b + size_b and addr_b < addr_a + size_a

@@ -15,21 +15,22 @@ Every packet records its injection time, hop count and queueing delay so
 the critical-path analyzer can split operand latency into the paper's
 "OPN hops" and "OPN contention" categories.
 
-Fast path: ``step()`` only visits *active* routers — those with at least
-one occupied input queue — instead of scanning the whole grid, and all
-routing decisions come from tables precomputed at construction time
-(``(node, dest) -> out port`` and ``(node, out port) -> (neighbor, entry
-port)``).  The arbitration, timing and delivery order are cycle-for-cycle
+Fast path (``fast_path=True``, the default): ``step()`` only visits
+*active* routers — those with at least one occupied input queue —
+instead of scanning the whole grid, and all routing decisions come from
+tables precomputed at construction time (``(node, dest) -> out port``
+and ``(node, out port) -> (neighbor, entry port)``).  The arbitration, timing and delivery order are cycle-for-cycle
 identical to a full scan: routers are visited in row-major coordinate
 order, which is exactly the order the full scan used, and quiescent
 routers contribute nothing to a scan by construction.
-``tests/uarch/test_mesh_reference.py`` checks this against a full-scan
-reference model under randomized traffic.
+``fast_path=False`` is that full scan, kept as the reference model;
+``tests/uarch/test_mesh_reference.py`` checks the two against each other
+under randomized traffic.
 
 Express routing: dimension-order routing is deterministic, so a packet
 injected into an otherwise-empty mesh wins every arbitration it meets and
 its whole itinerary — which link it holds at which cycle, and when it
-ejects — is known at injection time.  When ``express=True`` and no packet
+ejects — is known at injection time.  On the fast path, when no packet
 is queued in any FIFO, :meth:`inject` therefore *schedules* the packet
 instead of simulating it: it computes the grant sequence the hop-by-hop
 engine would execute, checks every (node, out port, lane) window against
@@ -143,8 +144,7 @@ class WormholeMesh:
 
     def __init__(self, rows: int, cols: int, vcs: int = 1,
                  queue_depth: int = 2, lanes: int = 1,
-                 route_order: str = "row_first", active_set: bool = True,
-                 express: bool = False):
+                 route_order: str = "row_first", fast_path: bool = True):
         if route_order not in ("row_first", "col_first"):
             raise ValueError(f"bad route order {route_order!r}")
         self.rows = rows
@@ -152,9 +152,9 @@ class WormholeMesh:
         self.vcs = vcs
         self.lanes = lanes
         self.route_order = route_order
-        #: False = the escape-hatch engine: scan every router every cycle
+        #: False = the reference engine: scan every router every cycle
         #: (the original algorithm), for timing cross-validation
-        self.active_set = active_set
+        self.fast_path = fast_path
         self.cycle_count = 0
         coords = [(r, c) for r in range(rows) for c in range(cols)]
         self._coords = coords
@@ -214,7 +214,7 @@ class WormholeMesh:
         # -- express routing (see module docstring) --------------------
         #: depth >= 2 guarantees an uncontended chain is never blocked by
         #: a FIFO holding another express packet for its one-cycle stay
-        self._express = express and queue_depth >= 2
+        self._express = fast_path and queue_depth >= 2
         self._x_seq = 0
         #: seq -> _Flight, every scheduled-but-not-yet-delivered packet
         self._x_flights: Dict[int, _Flight] = {}
@@ -282,10 +282,9 @@ class WormholeMesh:
     def is_idle(self) -> bool:
         """True when no packet is queued, in flight or awaiting pickup.
 
-        An idle mesh's ``step()`` is a pure cycle-count increment, which is
-        what lets the processor fast-forward over quiescent stretches
-        (busy output lanes only ever gate *queued* packets, so they carry
-        no future effect once the mesh drains).
+        An idle mesh's ``step()`` is a pure cycle-count increment (busy
+        output lanes only ever gate *queued* packets, so they carry no
+        future effect once the mesh drains).
         """
         return not self._active and not self.delivery_pending \
             and not self._x_flights
@@ -302,7 +301,7 @@ class WormholeMesh:
         ``cycle_count`` while any router holds a queued packet or a
         delivery awaits pickup, the earliest express arrival when packets
         are only in reserved flight, None when fully drained.  The
-        event-wheel scheduler advances straight to this cycle."""
+        fast-path scheduler advances straight to this cycle."""
         if self._active or self.delivery_pending:
             return self.cycle_count
         if self._x_arrivals:
@@ -628,7 +627,7 @@ class WormholeMesh:
             # them (delivered = grant cycle + 1)
             self._flush_express(now + 1)
         active = self._active
-        if self.active_set:
+        if self.fast_path:
             if not active:
                 self.cycle_count = now + 1
                 return
@@ -643,7 +642,7 @@ class WormholeMesh:
         moves: List[Tuple[Coord, Deque[Packet], Packet, Coord, int]] = []
         append_move = moves.append
         granted_queues: Set[int] = set()
-        use_single = self.active_set
+        use_single = self.fast_path
         use_simple = use_single and self._simple
         depth = self._depth
         ctx_map = self._ctx

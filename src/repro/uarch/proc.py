@@ -220,12 +220,9 @@ class TripsProcessor:
             self.regs[reg] = value & (2**64 - 1)
 
         self._fast = config.fast_path
-        self._wheel = config.fast_path and config.event_wheel
         self.opn = WormholeMesh(5, 5, queue_depth=config.opn_router_depth,
                                 lanes=config.opn_links_per_hop,
-                                active_set=config.fast_path,
-                                express=config.fast_path
-                                and config.express_routing)
+                                fast_path=config.fast_path)
         # detailed NUCA secondary memory (only stepped when L2 is modelled)
         self.sysmem_port_base = sysmem_port_base
         self._owns_sysmem = sysmem is None
@@ -237,9 +234,7 @@ class TripsProcessor:
             from ..mem.sysmem import SecondaryMemory, SysMemConfig
             self.sysmem = SecondaryMemory(
                 SysMemConfig(dram_cycles=config.dram_cycles,
-                             active_set=config.fast_path,
-                             express=config.fast_path
-                             and config.express_routing),
+                             fast_path=config.fast_path),
                 backing=self.memory)
         self.ets = [ExecTile(self, i) for i in range(16)]
         self.rts = [RegTile(self, b) for b in range(4)]
@@ -368,17 +363,13 @@ class TripsProcessor:
                     f"cycle budget {cfg.max_cycles} exhausted "
                     f"(pc window: {[hex(b.addr) for b in self.window]})")
             self.step()
-            # cheap pre-gate: with operands in router queues the core can
-            # never be quiescent, so skip the full next_work_t() scan.
-            # Under the event wheel an express packet in reserved flight
-            # is a timed event, not per-cycle work, so only queued
-            # packets and pending pickups block the jump.
-            if fast and not self.halted:
-                if self._wheel:
-                    if self.opn.quiet():
-                        self._try_fast_forward()
-                elif self.opn.is_idle():
-                    self._try_fast_forward()
+            # cheap pre-gate: with operands in router queues or awaiting
+            # pickup the core can never be quiescent, so skip the full
+            # next_work_t() scan.  An express packet in reserved flight is
+            # a timed event, not per-cycle work, so it does not block the
+            # jump.
+            if fast and not self.halted and self.opn.quiet():
+                self._try_fast_forward()
         return self.finalize_stats()
 
     # ------------------------------------------------------------------
@@ -397,38 +388,27 @@ class TripsProcessor:
         no-op for all tiles, both networks and the GT.
         """
         t = self.cycle
-        wheel = self._wheel
-        if wheel:
-            # per-component calendar: express packets in reserved flight
-            # wake the mesh at their arrival cycle, deferred loads at the
-            # cycle their gating stores are all within DSN reach
-            opn_t = self.opn.next_event_t()
-            if opn_t is not None and opn_t <= t:
-                return t
-        else:
-            opn_t = None
-            if not self.opn.is_idle():
-                return t
+        # per-component calendar: express packets in reserved flight
+        # wake the mesh at their arrival cycle, deferred loads at the
+        # cycle their gating stores are all within DSN reach
+        opn_t = self.opn.next_event_t()
+        if opn_t is not None and opn_t <= t:
+            return t
         for et in self.ets:
-            if et.candidates or et.outbox:       # inlined is_idle()
+            if et.candidates or et.outbox:
                 return t
         for rt in self.rts:
-            if rt.read_requests or rt.outbox:    # inlined is_idle()
+            if rt.read_requests or rt.outbox:
                 return t
         times = []
         if opn_t is not None:
             times.append(opn_t)
-        if wheel:
-            for dt in self.dts:
-                work = dt.next_work_t(t)
-                if work is not None:
-                    if work <= t:
-                        return t
-                    times.append(work)
-        else:
-            for dt in self.dts:
-                if dt.requests or dt.deferred or dt.outbox:  # is_idle()
+        for dt in self.dts:
+            work = dt.next_work_t(t)
+            if work is not None:
+                if work <= t:
                     return t
+                times.append(work)
         if self._ev_times:
             times.append(self._ev_times[0])
         gt = self._gt_next_work_t(t)
@@ -608,7 +588,7 @@ class TripsProcessor:
                     for pkt in take(self.GT_COORD):
                         self._on_branch(pkt.payload, t)
             return
-        # escape hatch: the original engine's unconditional coordinate scan
+        # reference engine: the original unconditional coordinate scan
         for et in self.ets:
             for pkt in self.opn.take_delivered(et.coord):
                 msg = pkt.payload
@@ -632,6 +612,15 @@ class TripsProcessor:
         if self._tel_gdn_blocked_t == t:
             return _tel.GDN_BACKLOG
         return _tel.IDLE
+
+    def gdn_backlog_end(self) -> int:
+        """First cycle at which :meth:`_try_fetch` stops being blocked by
+        the GDN backlog (0 with no free frame: fetch then never gets as
+        far as the backlog check).  Lets telemetry classify the GT over a
+        fast-forwarded stretch exactly as stepping would."""
+        if not self.free_frames:
+            return 0
+        return self.dispatch_pipe_free - self.config.predict_cycles - 2
 
     def _next_fetch_target(self, t: int) -> Optional[Tuple[int, Tuple]]:
         """(address, trace-cause) of the next block to fetch, if known.

@@ -122,15 +122,6 @@ class ExecTile:
         self._tel_waiting = 0      # dispatched stations missing operands
         self._tel_issue_t = -1     # cycle of the most recent issue
 
-    def is_idle(self) -> bool:
-        """No issuable instruction and nothing waiting to inject.
-
-        Stations still waiting for operands don't count: they can only be
-        woken by an OPN delivery or a timed event, both of which the fast
-        path accounts for separately.
-        """
-        return not self.candidates and not self.outbox
-
     # -- state arrival --------------------------------------------------
     def _station(self, block_uid: int, slot: int) -> _Station:
         per_block = self.stations.get(block_uid)
@@ -418,14 +409,6 @@ class RegTile:
         self.file_reads = 0
         self._tel_active_t = -1    # telemetry: last cycle a read was served
 
-    def is_idle(self) -> bool:
-        """No read to serve this cycle and nothing waiting to inject.
-
-        ``waiting_reads`` don't count: they are woken exclusively by write
-        deliveries (OPN packets) or flushes, never by time passing.
-        """
-        return not self.read_requests and not self.outbox
-
     # -- dispatch ---------------------------------------------------------
     def declare_writes(self, block_uid: int, regs: List[int], t: int) -> None:
         if block_uid not in self.proc.live_uids:
@@ -630,16 +613,6 @@ class DataTile:
         # telemetry (maintained only when proc.tel is not None)
         self._tel_active_t = -1    # last cycle a request was processed
         self._tel_pending_loads = 0   # cache misses awaiting their reply
-
-    def is_idle(self) -> bool:
-        """Nothing queued, deferred, or waiting to inject.
-
-        Deferred loads gate the fast path even though nothing is "moving":
-        :meth:`_retry_deferred` re-evaluates them against wall-clock DSN
-        propagation (``prior_stores_arrived``), so they can become
-        executable purely by time advancing.
-        """
-        return not self.requests and not self.deferred and not self.outbox
 
     def next_work_t(self, t: int) -> Optional[int]:
         """Event-wheel wakeup: the earliest cycle this DT can act.

@@ -25,14 +25,14 @@ class TestSpecGrammar:
         assert spec.label == "vadd@hand/l2perfect"
 
     def test_full_grammar(self):
-        spec = parse_spec("sha@tcc/nuca+express_routing-fast_path")
+        spec = parse_spec("sha@tcc/nuca+fast_path-dep_predictor_enabled")
         assert spec.level == "tcc" and spec.mem == "nuca"
-        assert spec.toggles == (("express_routing", True),
-                                ("fast_path", False))
+        assert spec.toggles == (("fast_path", True),
+                                ("dep_predictor_enabled", False))
         config = spec.config()
         assert config.perfect_l2 is False
-        assert config.express_routing is True
-        assert config.fast_path is False
+        assert config.fast_path is True
+        assert config.dep_predictor_enabled is False
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(DiffError, match="unknown workload"):
@@ -41,6 +41,12 @@ class TestSpecGrammar:
     def test_unknown_flag_rejected(self):
         with pytest.raises(DiffError, match="not a boolean"):
             parse_spec("vadd+antigravity")
+
+    def test_removed_engine_flag_rejected(self):
+        """The event wheel is part of the fast path, not a knob."""
+        with pytest.raises(DiffError,
+                           match="is not a boolean TripsConfig field"):
+            parse_spec("vadd@hand+event_wheel")
 
     def test_malformed_spec_rejected(self):
         with pytest.raises(DiffError, match="bad diff spec"):
@@ -150,16 +156,15 @@ class TestLivePairs:
         # and the OCN actually moved traffic
         assert any(row["delta_flits"] > 0 for row in report["links"]["ocn"])
 
-    def test_express_routing_toggle(self, tmp_path):
+    def test_fast_path_toggle(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
-        report = diff_specs("vadd@hand+express_routing",
-                            "vadd@hand-express_routing", cache=cache)
+        report = diff_specs("vadd@hand+fast_path",
+                            "vadd@hand-fast_path", cache=cache)
         by_cat = {row["category"]: row["delta_tile_cycles"]
                   for row in report["attribution"]}
-        # disabling express routing cannot make the network faster
-        assert report["delta_cycles"] >= 0
-        assert sum(by_cat.values()) \
-            == report["n_tiles"] * report["delta_cycles"]
+        # the fast engine and the full-scan reference are cycle-identical
+        assert report["delta_cycles"] == 0
+        assert all(delta == 0 for delta in by_cat.values())
 
     def test_identical_specs_diff_to_zero(self, tmp_path):
         cache = ResultCache(tmp_path / "c")

@@ -3,7 +3,7 @@
 The load-bearing property: cycle accounting is *exact*.  For every tile,
 busy + all stalls + idle must sum to exactly ``ProcStats.cycles`` — on
 the fast-path engine (where idle-cycle fast-forward charges skipped
-stretches through ``account_skip``), on the escape-hatch engine, with
+stretches through ``account_skip``), on the full-scan engine, with
 the detailed NUCA memory system, and on the dual-core chip.
 """
 
@@ -64,9 +64,21 @@ def test_fast_forward_cycles_accounted_as_idle_spans():
     stats, summary = _run_with_tel("vadd", perfect_l2=False)
     assert summary.fast_forward["cycles"] > 0
     assert summary.fast_forward["stretches"] > 0
-    # the GT is strictly idle across every skipped stretch
-    assert summary.tiles["GT"].get("idle", 0) >= \
+    # the GT is idle (or blocked on the GDN backlog, exactly as stepping
+    # would report it) across every skipped stretch
+    gt = summary.tiles["GT"]
+    assert gt.get("idle", 0) + gt.get("gdn_backlog", 0) >= \
         summary.fast_forward["cycles"]
+
+
+@pytest.mark.parametrize("name,perfect_l2",
+                         [("vadd", True), ("sha", True), ("vadd", False)])
+def test_tile_taxonomy_identical_both_engines(name, perfect_l2):
+    """Skipped stretches are charged to the same states that stepping
+    them one cycle at a time would record, tile by tile."""
+    _, fast = _run_with_tel(name, fast_path=True, perfect_l2=perfect_l2)
+    _, slow = _run_with_tel(name, fast_path=False, perfect_l2=perfect_l2)
+    assert fast.tiles == slow.tiles
 
 
 def test_aggregates_match_tiles():

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.tir.interp
 from repro.tir import (
     Array,
     Assign,
@@ -109,7 +110,11 @@ class TestControlFlow:
                 Assign("n", V("n") - 1)])])
         assert bits_to_int(run(prog).scalars["acc"]) == 120
 
-    def test_statement_budget(self):
+    def test_statement_budget(self, monkeypatch):
+        # the interpreter reads the budget on every statement, so a small
+        # one proves enforcement without running 50M statements
+        monkeypatch.setattr(repro.tir.interp, "MAX_DYNAMIC_STATEMENTS",
+                            10_000)
         prog = TirProgram("t", scalars={"x": 1},
             body=[While(V("x").gt(0), [Assign("x", V("x") + 1)])])
         with pytest.raises(TirError, match="budget"):

@@ -1,7 +1,8 @@
 """Fast-path engine equivalence: every workload, byte-identical stats.
 
-The fast-path cycle engine (active-set mesh stepping, pending-set
-deliveries, activity-gated tile ticks, idle-cycle fast-forward) must be
+The fast-path cycle engine (active-set mesh stepping, express routing,
+pending-set deliveries, activity-gated tile ticks, the event wheel's
+jump to the next per-component wakeup) must be
 *cycle-for-cycle identical* to the original engine that
 ``TripsConfig.fast_path=False`` preserves.  These tests compare the full
 ``ProcStats`` record — cycle counts, flush counts, network statistics,

@@ -1,11 +1,12 @@
 """Express routing vs. hop-by-hop wormhole: delivery-exact equivalence.
 
-The express scheme (``WormholeMesh(express=True)``) books per-link time
+The fast mesh (``WormholeMesh(fast_path=True)``) books per-link time
 windows at inject and delivers conflict-free packets at their computed
 arrival cycle, falling back to the queued engine — after materializing
 every in-flight reservation into exact FIFO state — on any window
-conflict.  These tests drive both engines with identical traffic and
-require identical *observable histories*: every delivery's (dest, src,
+conflict.  These tests drive it and the full-scan reference mesh
+(``fast_path=False``, hop by hop) with identical traffic and require
+identical *observable histories*: every delivery's (dest, src,
 delivered cycle, hops, queue cycles) plus the full MeshStats record.
 
 The randomized sweeps mix mesh shapes, virtual channels, multi-lane
@@ -24,10 +25,10 @@ from repro.uarch.mesh import Packet, WormholeMesh
 
 def drive(rows, cols, vcs, lanes, depth, traffic, express,
           max_cycles=3000):
-    """Run one traffic schedule to drain; return (history, stats)."""
+    """Run one traffic schedule to drain on the fast (express) mesh or
+    the full-scan reference; return (history, stats)."""
     mesh = WormholeMesh(rows, cols, vcs=vcs, lanes=lanes,
-                        queue_depth=depth, active_set=True,
-                        express=express)
+                        queue_depth=depth, fast_path=express)
     got = []
     pending = list(traffic)
     t = 0
@@ -153,8 +154,7 @@ class TestRollover:
     def test_single_packet_is_express(self):
         """A lone packet on an idle mesh takes the express path and is
         delivered at the exact hop-by-hop arrival cycle."""
-        mesh = WormholeMesh(5, 5, vcs=1, lanes=1, queue_depth=2,
-                            active_set=True, express=True)
+        mesh = WormholeMesh(5, 5, vcs=1, lanes=1, queue_depth=2)
         p = Packet(src=(0, 0), dest=(3, 4), payload=None, flits=1, vc=0)
         assert mesh.inject((0, 0), p)
         assert mesh._x_flights            # scheduled, not queued
