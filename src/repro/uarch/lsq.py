@@ -18,7 +18,8 @@ Responsibilities modelled here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right, insort
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 Key = Tuple[int, int]   # (block sequence number, LSID) = program order
@@ -35,15 +36,40 @@ class LsqEntry:
 
 
 class LoadStoreQueue:
-    """One DT's LSQ copy."""
+    """One DT's LSQ copy.
+
+    Besides the key -> entry map, the queue keeps its store keys and its
+    load keys in sorted lists and a per-block-sequence key index, so
+    forwarding walks only the older stores, violation checks only the
+    younger loads, and commit/flush touch only their own blocks' keys.
+    """
 
     def __init__(self, capacity: int = 256):
         self.capacity = capacity
         self.entries: Dict[Key, LsqEntry] = {}
         self.peak_occupancy = 0
+        self._store_keys: List[Key] = []      # ascending program order
+        self._load_keys: List[Key] = []       # ascending program order
+        self._by_seq: Dict[int, List[Key]] = {}
 
     def is_full(self) -> bool:
         return len(self.entries) >= self.capacity
+
+    def _add(self, entry: LsqEntry) -> None:
+        key = entry.key
+        if key in self.entries:
+            raise ValueError(f"duplicate LSQ key {key}")
+        self.entries[key] = entry
+        insort(self._store_keys if entry.is_store else self._load_keys, key)
+        self._by_seq.setdefault(key[0], []).append(key)
+        if len(self.entries) > self.peak_occupancy:
+            self.peak_occupancy = len(self.entries)
+
+    def _remove(self, key: Key) -> LsqEntry:
+        entry = self.entries.pop(key)
+        keys = self._store_keys if entry.is_store else self._load_keys
+        del keys[bisect_left(keys, key)]
+        return entry
 
     # ------------------------------------------------------------------
     def insert_store(self, key: Key, address: Optional[int], size: int,
@@ -52,30 +78,27 @@ class LoadStoreQueue:
 
         A violation is any *younger* executed load whose bytes overlap this
         store: it ran too early and read stale data (conservatively flagged
-        even if the values happen to match, like the hardware).
+        even if the values happen to match, like the hardware).  The keys
+        come back in ascending program order.
         """
-        if key in self.entries:
-            raise ValueError(f"duplicate LSQ key {key}")
-        entry = LsqEntry(key=key, is_store=True, address=address, size=size,
-                         data=data, nullified=nullified)
-        self.entries[key] = entry
-        self.peak_occupancy = max(self.peak_occupancy, len(self.entries))
+        self._add(LsqEntry(key=key, is_store=True, address=address,
+                           size=size, data=data, nullified=nullified))
         if nullified or address is None:
             return []
         violators = []
-        for other in self.entries.values():
-            if other.is_store or other.key <= key or other.address is None:
+        loads = self._load_keys
+        entries = self.entries
+        for i in range(bisect_right(loads, key), len(loads)):
+            other = entries[loads[i]]
+            if other.address is None:
                 continue
             if _overlap(address, size, other.address, other.size):
                 violators.append(other.key)
-        return sorted(violators)
+        return violators
 
     def insert_load(self, key: Key, address: int, size: int) -> None:
-        if key in self.entries:
-            raise ValueError(f"duplicate LSQ key {key}")
-        self.entries[key] = LsqEntry(key=key, is_store=False,
-                                     address=address, size=size)
-        self.peak_occupancy = max(self.peak_occupancy, len(self.entries))
+        self._add(LsqEntry(key=key, is_store=False, address=address,
+                           size=size))
 
     # ------------------------------------------------------------------
     def forward(self, key: Key, address: int, size: int,
@@ -87,9 +110,10 @@ class LoadStoreQueue:
         order, byte-granular — the answer the paper's LSQ CAM produces.
         """
         result = bytearray(memory_bytes)
-        for skey in sorted(k for k, e in self.entries.items()
-                           if e.is_store and k < key):
-            entry = self.entries[skey]
+        stores = self._store_keys
+        entries = self.entries
+        for i in range(bisect_left(stores, key)):
+            entry = entries[stores[i]]
             if entry.nullified or entry.address is None:
                 continue
             lo = max(address, entry.address)
@@ -105,17 +129,18 @@ class LoadStoreQueue:
     # ------------------------------------------------------------------
     def flush_blocks(self, seqs: Set[int]) -> int:
         """Discard all entries of the flushed block sequence numbers."""
-        doomed = [k for k in self.entries if k[0] in seqs]
-        for k in doomed:
-            del self.entries[k]
-        return len(doomed)
+        count = 0
+        for seq in seqs:
+            for key in self._by_seq.pop(seq, ()):
+                self._remove(key)
+                count += 1
+        return count
 
     def commit_block(self, seq: int) -> List[LsqEntry]:
         """Remove and return the block's entries; stores in LSID order."""
-        keys = sorted(k for k in self.entries if k[0] == seq)
         out = []
-        for k in keys:
-            entry = self.entries.pop(k)
+        for key in sorted(self._by_seq.pop(seq, ())):
+            entry = self._remove(key)
             if entry.is_store and not entry.nullified:
                 out.append(entry)
         return out

@@ -15,14 +15,22 @@ Every packet records its injection time, hop count and queueing delay so
 the critical-path analyzer can split operand latency into the paper's
 "OPN hops" and "OPN contention" categories.
 
+Routers are named internally by integer id ``row * cols + col``; the
+router state, the active set and all routing tables are lists or sets
+indexed by id, so the arbiter never hashes a coordinate.  Coordinates
+appear only at the API boundary (:meth:`inject`, :meth:`take_delivered`,
+:attr:`delivery_pending`, the telemetry sink and ``Packet.src``/``dest``);
+:meth:`inject` stamps each packet with its destination id.
+
 Fast path (``fast_path=True``, the default): ``step()`` only visits
 *active* routers — those with at least one occupied input queue —
 instead of scanning the whole grid, and all routing decisions come from
 tables precomputed at construction time (``(node, dest) -> out port``
-and ``(node, out port) -> (neighbor, entry port)``).  The arbitration, timing and delivery order are cycle-for-cycle
-identical to a full scan: routers are visited in row-major coordinate
-order, which is exactly the order the full scan used, and quiescent
-routers contribute nothing to a scan by construction.
+and ``(node, out port) -> (neighbor, entry port)``).  The arbitration,
+timing and delivery order are cycle-for-cycle identical to a full scan:
+routers are visited in ascending id order, which is the row-major order
+the full scan uses, and quiescent routers contribute nothing to a scan
+by construction.
 ``fast_path=False`` is that full scan, kept as the reference model;
 ``tests/uarch/test_mesh_reference.py`` checks the two against each other
 under randomized traffic.
@@ -74,6 +82,7 @@ class Packet:
     delivered: int = -1      # cycle ejected at the destination
     hops: int = 0
     qcycles: int = -1        # contention cycles, filled in at delivery
+    did: int = -1            # destination router id, set by inject()
 
     @property
     def min_latency(self) -> int:
@@ -117,7 +126,7 @@ class _Flight:
         self.src = src
         self.vc = vc
         self.start = start          # cycle the packet leaves the LOCAL FIFO
-        self.grants = grants        # [(node, out port, grant cycle, lane)]
+        self.grants = grants        # [(node id, out port, grant, lane)]
         self.hops = hops
         self.arrival = arrival      # delivery cycle at the destination
 
@@ -156,56 +165,58 @@ class WormholeMesh:
         #: (the original algorithm), for timing cross-validation
         self.fast_path = fast_path
         self.cycle_count = 0
+        # router id -> coordinate (row-major) and back
         coords = [(r, c) for r in range(rows) for c in range(cols)]
         self._coords = coords
-        # ports[node][port] -> _Port
-        self.ports: Dict[Coord, List[_Port]] = {
-            node: [_Port(vcs, queue_depth) for _ in range(_NUM_PORTS)]
-            for node in coords}
-        # precomputed (node, dest) -> out port and
-        # (node, out port) -> (neighbor, its entry port)
-        self._route: Dict[Coord, Dict[Coord, int]] = {}
-        self._hop: Dict[Coord, List[Optional[Tuple[Coord, int]]]] = {}
+        self._ids: Dict[Coord, int] = {node: i for i, node in
+                                       enumerate(coords)}
+        nodes = range(len(coords))
+        self._nodes = tuple(nodes)
+        # ports[node id][port] -> _Port
+        self.ports: List[List[_Port]] = [
+            [_Port(vcs, queue_depth) for _ in range(_NUM_PORTS)]
+            for _ in nodes]
+        # precomputed route[node][dest] -> out port and
+        # hop[node][out port] -> (neighbor id, its entry port)
+        self._route: List[List[int]] = [
+            [self._next_hop(coords[n], coords[d]) for d in nodes]
+            for n in nodes]
+        self._hop: List[List[Optional[Tuple[int, int]]]] = []
         for node in coords:
-            self._route[node] = {dest: self._next_hop(node, dest)
-                                 for dest in coords}
-            hops: List[Optional[Tuple[Coord, int]]] = [None] * _NUM_PORTS
+            hops: List[Optional[Tuple[int, int]]] = [None] * _NUM_PORTS
             for out in (_NORTH, _SOUTH, _EAST, _WEST):
                 neighbor = self._neighbor(node, out)
                 if 0 <= neighbor[0] < rows and 0 <= neighbor[1] < cols:
-                    hops[out] = (neighbor, _ENTRY[out])
-            self._hop[node] = hops
+                    hops[out] = (self._ids[neighbor], _ENTRY[out])
+            self._hop.append(hops)
         # flat per-node queue aliases for the arbiter's hot loops (the
         # deque objects are created once and only ever mutated, so the
         # aliases stay valid): VC-0 queues for the single-VC fast path,
         # and all queues in port-major order for the general scan
-        self._q0: Dict[Coord, Tuple[Deque[Packet], ...]] = {
-            node: tuple(port.queues[0] for port in self.ports[node])
-            for node in coords}
-        self._qall: Dict[Coord, Tuple[Deque[Packet], ...]] = {
-            node: tuple(q for port in self.ports[node] for q in port.queues)
-            for node in coords}
+        self._q0: List[Tuple[Deque[Packet], ...]] = [
+            tuple(port.queues[0] for port in self.ports[n]) for n in nodes]
+        self._qall: List[Tuple[Deque[Packet], ...]] = [
+            tuple(q for port in self.ports[n] for q in port.queues)
+            for n in nodes]
         # output serialization: per node, per out port, busy-until per lane
-        self._busy: Dict[Coord, List[List[int]]] = {
-            node: [[0] * lanes for _ in range(_NUM_PORTS)] for node in coords}
-        self._rr: Dict[Coord, List[int]] = {
-            node: [0] * _NUM_PORTS for node in coords}
+        self._busy: List[List[List[int]]] = [
+            [[0] * lanes for _ in range(_NUM_PORTS)] for _ in nodes]
+        self._rr: List[List[int]] = [[0] * _NUM_PORTS for _ in nodes]
         self._delivery: Dict[Coord, List[Packet]] = {
             node: [] for node in coords}
         # one-lookup arbiter context: everything the per-node grant loop
-        # needs, fetched with a single coord hash instead of five
-        self._ctx: Dict[Coord, tuple] = {
-            node: (self._q0[node], self._qall[node], self._route[node],
-                   self._busy[node], self._rr[node], self._hop[node])
-            for node in coords}
+        # needs, fetched with a single index instead of five
+        self._ctx: List[tuple] = [
+            (self._q0[n], self._qall[n], self._route[n], self._busy[n],
+             self._rr[n], self._hop[n]) for n in nodes]
         #: single-VC single-lane meshes (the OPN) take a specialized
         #: arbitration loop on the fast path
         self._simple = vcs == 1 and lanes == 1
         self._depth = queue_depth
-        #: nodes holding at least one queued packet (the active set) and
-        #: their total queued-packet counts
-        self._active: Set[Coord] = set()
-        self._occupancy: Dict[Coord, int] = {node: 0 for node in coords}
+        #: ids of nodes holding at least one queued packet (the active
+        #: set) and every node's total queued-packet count
+        self._active: Set[int] = set()
+        self._occupancy: List[int] = [0] * len(coords)
         #: nodes with packets awaiting :meth:`take_delivered`
         self.delivery_pending: Set[Coord] = set()
         self.stats = MeshStats()
@@ -219,28 +230,30 @@ class WormholeMesh:
         #: seq -> _Flight, every scheduled-but-not-yet-delivered packet
         self._x_flights: Dict[int, _Flight] = {}
         #: (node, out port, lane) -> [(grant, grant+flits, flight seq)]
-        self._x_res: Dict[Tuple[Coord, int, int],
+        self._x_res: Dict[Tuple[int, int, int],
                           List[Tuple[int, int, int]]] = {}
-        #: delivery calendar: (arrival, penultimate row, col, flight seq);
+        #: delivery calendar: (arrival, penultimate node id, flight seq);
         #: the penultimate node orders same-cycle same-dest deliveries the
-        #: way the hop-by-hop move loop (row-major router visits) would
-        self._x_arrivals: List[Tuple[int, int, int, int]] = []
-        #: (node, vc) -> start cycle of the last express packet injected
-        #: there (LOCAL FIFO ordering: one departure per cycle per queue)
-        self._x_last: Dict[Tuple[Coord, int], int] = {}
-        #: (src, dest) -> ((node, out port), ...) — the static Y-X path,
+        #: way the hop-by-hop move loop (ascending-id router visits) would
+        self._x_arrivals: List[Tuple[int, int, int]] = []
+        #: [node * vcs + vc] -> start cycle of the last express packet
+        #: injected there (LOCAL FIFO ordering: one departure per cycle
+        #: per queue)
+        self._x_last: List[int] = [-1] * (len(coords) * vcs)
+        #: [src][dest] -> ((node, out port), ...) — the static Y-X path,
         #: built lazily; deterministic routing makes it reusable
-        self._x_paths: Dict[Tuple[Coord, Coord],
-                            Tuple[Tuple[Coord, int], ...]] = {}
+        self._x_paths: List[List[Optional[Tuple[Tuple[int, int], ...]]]] = [
+            [None] * len(coords) for _ in nodes]
         #: single-lane fast scheme: scheduled windows are folded into the
         #: ``_busy`` scalars (and round-robin pointers) eagerly — at
         #: schedule time, not delivery — and this map keeps each touched
         #: link's pre-schedule ``(busy, rr)`` pair so :meth:`_materialize`
-        #: can rewind to executed-grants-only state.  A packet wanting a
+        #: can rewind to executed-grants-only state (keyed
+        #: ``node * 5 + out port``).  A packet wanting a
         #: window *before* an already-scheduled one then looks blocked and
         #: falls back — a precision/speed trade that stays exact because
         #: the fallback path is exact.
-        self._x_base: Dict[Tuple[Coord, int], Tuple[int, int]] = {}
+        self._x_base: Dict[int, Tuple[int, int]] = {}
         #: delivered-but-not-yet-folded flights: their windows live only
         #: in the eager scalars, so a materialization replays them after
         #: the rewind.  Cleared whenever the last flight lands (the eager
@@ -250,24 +263,28 @@ class WormholeMesh:
     # ------------------------------------------------------------------
     def inject(self, node: Coord, packet: Packet) -> bool:
         """Offer a packet to ``node``'s local input; False if it is full."""
+        ids = self._ids
+        packet.did = ids[packet.dest]
         if self._express and not self._active and self.telemetry is None:
-            return self._inject_express(node, packet)
-        return self._inject_queued(node, packet)
+            return self._inject_express(ids[node], packet)
+        return self._inject_queued(ids[node], packet)
 
-    def _inject_queued(self, node: Coord, packet: Packet) -> bool:
-        port = self.ports[node][_LOCAL]
-        if not port.has_space(packet.vc):
+    def _inject_queued(self, node: int, packet: Packet) -> bool:
+        queue = self.ports[node][_LOCAL].queues[packet.vc]
+        if len(queue) >= self._depth:
             self.stats.inject_stalls += 1
             return False
         packet.injected = self.cycle_count
         if packet.created < 0:
             packet.created = self.cycle_count
-        port.queues[packet.vc].append(packet)
-        self._occupancy[node] += 1
-        self._active.add(node)
+        queue.append(packet)
+        occupancy = self._occupancy
+        if not occupancy[node]:
+            self._active.add(node)
+        occupancy[node] += 1
         self.stats.injected += 1
         if self.telemetry is not None:
-            self.telemetry.note_depth(node, self.cycle_count,
+            self.telemetry.note_depth(self._coords[node], self.cycle_count,
                                       self._occupancy[node])
         return True
 
@@ -318,17 +335,17 @@ class WormholeMesh:
     # ------------------------------------------------------------------
     # express routing
     # ------------------------------------------------------------------
-    def _inject_express(self, node: Coord, packet: Packet) -> bool:
+    def _inject_express(self, node: int, packet: Packet) -> bool:
         now = self.cycle_count
         vc = packet.vc
-        key = (node, vc)
+        key = node * self.vcs + vc
         # One departure per LOCAL queue per cycle (head-of-line order),
         # and the FIFO occupancy check: pending express starts for this
         # queue are the contiguous run [now, last] (a gap would need an
         # inject at a cycle past its predecessor's start, which resets the
         # run), so the scan over flights collapses to arithmetic.
         start = now
-        prev = self._x_last.get(key, -1)
+        prev = self._x_last[key]
         if prev >= start:
             if prev - now + 1 >= self._depth:
                 self.stats.inject_stalls += 1
@@ -337,16 +354,16 @@ class WormholeMesh:
         # the grant sequence the hop-by-hop engine would execute: link k
         # of the static Y-X path is granted at cycle start+k (a d=0
         # packet takes one LOCAL eject grant instead)
-        dest = packet.dest
+        dest = packet.did
         flits = packet.flits
         res = self._x_res
         busy_map = self._busy
-        chosen: List[Tuple[Coord, int, int, int]] = []
+        chosen: List[Tuple[int, int, int, int]] = []
         if node == dest:
             path = ((node, _LOCAL),)
             penult = node
         else:
-            path = self._x_paths.get((node, dest))
+            path = self._x_paths[node][dest]
             if path is None:
                 route = self._route
                 hop = self._hop
@@ -356,7 +373,7 @@ class WormholeMesh:
                     out = route[cur][dest]
                     steps.append((cur, out))
                     cur = hop[cur][out][0]
-                path = self._x_paths[(node, dest)] = tuple(steps)
+                path = self._x_paths[node][dest] = tuple(steps)
             penult = path[-1][0]
         # window check: every grant must win its arbitration outright.
         # The lane the arbiter would pick is the first lane free at g as
@@ -379,7 +396,7 @@ class WormholeMesh:
                 cell = busy_map[cur][out]
                 if cell[0] > g:
                     return self._express_fallback(node, packet)
-                bkey = (cur, out)
+                bkey = cur * _NUM_PORTS + out
                 if bkey not in base:
                     base[bkey] = (cell[0], rr_map[cur][out])
                 cell[0] = end
@@ -439,11 +456,10 @@ class WormholeMesh:
             for cur, out, g, lane in chosen:
                 res.setdefault((cur, out, lane), []).append(
                     (g, g + flits, seq))
-        heapq.heappush(self._x_arrivals,
-                       (arrival, penult[0], penult[1], seq))
+        heapq.heappush(self._x_arrivals, (arrival, penult, seq))
         return True
 
-    def _express_fallback(self, node: Coord, packet: Packet) -> bool:
+    def _express_fallback(self, node: int, packet: Packet) -> bool:
         """A window conflict: reconstruct the exact engine's state and
         inject the packet through the normal FIFO path."""
         self._materialize(self.cycle_count)
@@ -473,7 +489,8 @@ class WormholeMesh:
             # (busy, rr) pair, then re-apply the delivered flights and the
             # executed prefixes below, leaving exactly the hop-by-hop
             # engine's scalars
-            for (cur, out), (b, r) in self._x_base.items():
+            for bkey, (b, r) in self._x_base.items():
+                cur, out = divmod(bkey, _NUM_PORTS)
                 busy_map[cur][out][0] = b
                 rr_map[cur][out] = r
             self._x_base.clear()
@@ -550,7 +567,7 @@ class WormholeMesh:
         scalar = self.lanes == 1
         done = self._x_done
         while arrivals and arrivals[0][0] <= upto:
-            arrival, _pr, _pc, seq = heapq.heappop(arrivals)
+            arrival, _penult, seq = heapq.heappop(arrivals)
             flight = flights.pop(seq)
             packet = flight.packet
             flits = packet.flits
@@ -631,15 +648,15 @@ class WormholeMesh:
             if not active:
                 self.cycle_count = now + 1
                 return
-            # row-major visit order == the full scan's order (a one-node
+            # ascending ids == the full scan's row-major order (a one-node
             # set needs no sort)
             nodes = tuple(active) if len(active) == 1 else sorted(active)
         else:
-            nodes = self._coords
+            nodes = self._nodes
         ports = self.ports
         stats = self.stats
         occupancy = self._occupancy
-        moves: List[Tuple[Coord, Deque[Packet], Packet, Coord, int]] = []
+        moves: List[Tuple[int, Deque[Packet], Packet, int, int]] = []
         append_move = moves.append
         granted_queues: Set[int] = set()
         use_single = self.fast_path
@@ -650,18 +667,27 @@ class WormholeMesh:
         lbc = 0                     # link_busy_cycles, folded in once below
         for node in nodes:
             q0s, qall, route, node_busy, node_rr, node_hop = ctx_map[node]
-            if use_simple and occupancy[node] > 1:
+            if use_simple:
                 # Single-VC, single-lane router (the OPN): each queue
                 # requests exactly one out port and each out port has one
                 # lane, so no queue can be granted twice — the
                 # granted_queues bookkeeping and the lane loop of the
                 # general arbiter below provably never fire.
-                reqs = [(route[q[0].dest], q) for q in q0s if q]
-                if len(reqs) == 1:
+                if occupancy[node] == 1:
+                    for queue in q0s:
+                        if queue:
+                            break
+                    out = route[queue[0].did]
+                else:
+                    reqs = [(route[q[0].did], q) for q in q0s if q]
+                    if len(reqs) == 1:
+                        out, queue = reqs[0]
+                    else:
+                        queue = None        # several requesting FIFOs
+                if queue is not None:
                     # every packet sits in one input FIFO: a lone request,
                     # granted unless the link is busy or downstream full
                     # (rr := (rr + 0 + 1) % 1 == 0 on a grant)
-                    out, queue = reqs[0]
                     busy = node_busy[out]
                     if busy[0] <= now:
                         packet = queue[0]
@@ -669,7 +695,7 @@ class WormholeMesh:
                             append_move((node, queue, packet, node, -1))
                         else:
                             neighbor, entry = node_hop[out]
-                            if neighbor != packet.dest and \
+                            if neighbor != packet.did and \
                                     len(q0_map[neighbor][entry]) >= depth:
                                 continue
                             append_move((node, queue, packet, neighbor,
@@ -698,7 +724,7 @@ class WormholeMesh:
                             append_move((node, queue, packet, node, -1))
                         else:
                             neighbor, entry = node_hop[out]
-                            if neighbor != packet.dest and \
+                            if neighbor != packet.did and \
                                     len(q0_map[neighbor][entry]) >= depth:
                                 continue
                             append_move((node, queue, packet, neighbor,
@@ -717,7 +743,7 @@ class WormholeMesh:
                     if queue:
                         break
                 packet = queue[0]
-                out = route[packet.dest]
+                out = route[packet.did]
                 lanes = node_busy[out]
                 for lane_idx, busy_until in enumerate(lanes):
                     if busy_until > now:
@@ -726,7 +752,7 @@ class WormholeMesh:
                         append_move((node, queue, packet, node, -1))
                     else:
                         neighbor, entry = node_hop[out]
-                        if neighbor != packet.dest and \
+                        if neighbor != packet.did and \
                                 not ports[neighbor][entry].has_space(
                                     packet.vc):
                             break       # blocked on every lane alike
@@ -740,7 +766,7 @@ class WormholeMesh:
             requests: Dict[int, List[Deque[Packet]]] = {}
             for queue in qall:
                 if queue:
-                    out = route[queue[0].dest]
+                    out = route[queue[0].did]
                     bucket = requests.get(out)
                     if bucket is None:
                         requests[out] = [queue]
@@ -764,7 +790,7 @@ class WormholeMesh:
                             append_move((node, queue, packet, node, -1))
                         else:
                             neighbor, entry = node_hop[out]
-                            if neighbor != packet.dest and \
+                            if neighbor != packet.did and \
                                     not ports[neighbor][entry].has_space(
                                         packet.vc):
                                 continue
@@ -787,7 +813,7 @@ class WormholeMesh:
                 active.discard(node)
             if entry >= 0:
                 packet.hops += 1
-            if entry < 0 or target == packet.dest:
+            if entry < 0 or target == packet.did:
                 # Arrival at the destination router delivers in the same
                 # cycle as the final hop: the control header launched one
                 # cycle ahead (Section 3) already did wakeup, so ejection
@@ -795,33 +821,42 @@ class WormholeMesh:
                 packet.delivered = now + 1
                 src = packet.src
                 dest = packet.dest
+                dr = src[0] - dest[0]
+                dc = src[1] - dest[1]
                 qc = (now + 1 - packet.injected) \
-                    - abs(src[0] - dest[0]) - abs(src[1] - dest[1])
+                    - (dr if dr >= 0 else -dr) - (dc if dc >= 0 else -dc)
                 packet.qcycles = qc if qc > 0 else 0
-                delivery[target].append(packet)
-                delivery_pending.add(target)
+                arrived = delivery[dest]
+                if not arrived:
+                    delivery_pending.add(dest)
+                arrived.append(packet)
                 n_delivered += 1
                 total_hops += packet.hops
                 total_qc += packet.qcycles
             else:
                 ports[target][entry].queues[packet.vc].append(packet)
+                if not occupancy[target]:
+                    active.add(target)
                 occupancy[target] += 1
-                active.add(target)
         if n_delivered:
             stats.delivered += n_delivered
             stats.total_hops += total_hops
             stats.total_queue_cycles += total_qc
         tel = self.telemetry
         if tel is not None and moves:
+            coords = self._coords
             for node, _queue, packet, target, entry in moves:
+                at = coords[node]
                 if entry < 0:
                     direction = "eject"
                 else:
-                    dr = target[0] - node[0]
+                    to = coords[target]
+                    dr = to[0] - at[0]
                     direction = ("S" if dr > 0 else "N") if dr else \
-                        ("E" if target[1] > node[1] else "W")
-                tel.note_link(node, direction, packet.flits)
-                tel.note_depth(node, now + 1, occupancy[node])
-                if entry >= 0 and target != packet.dest:
-                    tel.note_depth(target, now + 1, occupancy[target])
+                        ("E" if to[1] > at[1] else "W")
+                tel.note_link(at, direction, packet.flits)
+                tel.note_depth(at, now + 1, occupancy[node])
+                if entry >= 0 and target != packet.did:
+                    tel.note_depth(coords[target], now + 1,
+                                   occupancy[target])
         self.cycle_count = now + 1

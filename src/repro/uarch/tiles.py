@@ -10,18 +10,99 @@ the timing conventions).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..isa import ACCESS_SIZE, OpClass, Opcode, OperandKind
-from ..isa.alu import execute
+from ..isa.alu import alu_fn
 from ..isa.opcodes import SIGNED_LOADS
 from ..telemetry import recorder as _tel
 from ..tir.semantics import truncate_load
 from .lsq import DependencePredictor, LoadStoreQueue
 from .mesh import Packet
+from .predictor import BT_BRANCH, BT_CALL, BT_RETURN
 
 MASK64 = (1 << 64) - 1
+
+_LEFT = OperandKind.LEFT
+_RIGHT = OperandKind.RIGHT
+_WRITE = OperandKind.WRITE
+
+
+def et_coord(et: int) -> Tuple[int, int]:
+    """OPN coordinate of execution tile ``et`` (rows 1-4, columns 1-4)."""
+    return (1 + et // 4, 1 + et % 4)
+
+
+def rt_coord(bank: int) -> Tuple[int, int]:
+    """OPN coordinate of register tile ``bank`` (row 0, columns 1-4)."""
+    return (0, 1 + bank)
+
+
+# ----------------------------------------------------------------------
+# Static plans, decoded once per block
+# ----------------------------------------------------------------------
+#: one operand destination: (target key, operand kind, destination OPN
+#: coordinate, consumer ET index or -1 for a write slot).  The target key
+#: is the body slot, or ("W", write slot) for a block output.
+Route = Tuple[object, OperandKind, Tuple[int, int], int]
+
+
+def target_routes(targets) -> Tuple[Route, ...]:
+    """Resolve ISA targets to routes (shared by ETs, RTs and DT replies)."""
+    routes = []
+    for target in targets:
+        if target.kind is _WRITE:
+            routes.append((("W", target.slot), target.kind,
+                           rt_coord(target.slot // 8), -1))
+        else:
+            et = target.slot % 16
+            routes.append((target.slot, target.kind, et_coord(et), et))
+    return tuple(routes)
+
+
+#: StationPlan.kind values
+PLAN_ALU, PLAN_NULLIFY, PLAN_MEMORY, PLAN_BRANCH = range(4)
+
+#: Station.have bits for the three operand fields
+_HAVE_LEFT, _HAVE_RIGHT, _HAVE_PRED = 1, 2, 4
+
+
+class StationPlan:
+    """Everything an ET needs to wake, issue, execute and route one body
+    instruction that does not change between its dynamic instances."""
+
+    __slots__ = ("inst", "need", "pred", "kind", "alu", "latency", "is_div",
+                 "mnemonic", "routes")
+
+    def __init__(self, inst):
+        op = inst.opcode
+        self.inst = inst
+        # operands required before issue, as a Station.have mask
+        need = 0
+        if op.num_operands >= 1:
+            need |= _HAVE_LEFT
+        if op.num_operands >= 2:
+            need |= _HAVE_RIGHT
+        if inst.pred is not None:
+            need |= _HAVE_PRED
+        self.need = need
+        self.pred = inst.pred
+        self.alu = None
+        if op.opclass is OpClass.BRANCH:
+            self.kind = PLAN_BRANCH
+        elif op.is_memory:
+            self.kind = PLAN_MEMORY
+        elif op.opclass is OpClass.NULLIFY:
+            self.kind = PLAN_NULLIFY
+        else:
+            self.kind = PLAN_ALU
+            self.alu = alu_fn(inst)
+        self.latency = op.latency
+        self.is_div = op is Opcode.DIVS
+        self.mnemonic = op.mnemonic
+        self.routes = target_routes(inst.targets)
 
 
 # ----------------------------------------------------------------------
@@ -51,7 +132,7 @@ class MemRequest:
     data: int
     is_null: bool
     signed: bool
-    targets: Tuple                 # load reply destinations
+    targets: Tuple                 # load reply routes (see target_routes)
     producer_key: Tuple
     send_t: int
 
@@ -72,36 +153,25 @@ class BranchMsg:
 class _Station:
     """One reservation station: an instruction plus its operand buffer."""
 
-    __slots__ = ("inst", "seq", "left", "right", "pred", "left_null",
-                 "right_null", "fired", "dead", "dispatch_t", "release",
-                 "ready_t", "waiting")
+    __slots__ = ("plan", "seq", "left", "right", "pred", "left_null",
+                 "right_null", "have", "fired", "dead", "dispatch_t",
+                 "release", "ready_t", "waiting")
 
     def __init__(self):
-        self.inst = None
+        self.plan: Optional[StationPlan] = None     # None until dispatched
         self.seq = -1
         self.left = None
         self.right = None
         self.pred = None
         self.left_null = False
         self.right_null = False
+        self.have = 0              # _HAVE_* bits of the operands arrived
         self.fired = False
         self.dead = False
         self.dispatch_t = -1
         self.release = ("dispatch", -1)
         self.ready_t = -1
         self.waiting = False       # telemetry: dispatched but not ready
-
-    def ready(self) -> bool:
-        if self.inst is None or self.fired or self.dead:
-            return False
-        need = self.inst.opcode.num_operands
-        if need >= 1 and self.left is None:
-            return False
-        if need >= 2 and self.right is None:
-            return False
-        if self.inst.pred is not None and self.pred is None:
-            return False
-        return True
 
 
 class ExecTile:
@@ -110,7 +180,7 @@ class ExecTile:
     def __init__(self, proc, index: int):
         self.proc = proc
         self.index = index
-        self.coord = (1 + index // 4, 1 + index % 4)
+        self.coord = et_coord(index)
         # block uid -> {slot -> _Station}: two-level so a block's stations
         # vanish in O(1) at commit/flush instead of an O(stations) sweep
         self.stations: Dict[int, Dict[object, _Station]] = {}
@@ -123,46 +193,57 @@ class ExecTile:
         self._tel_issue_t = -1     # cycle of the most recent issue
 
     # -- state arrival --------------------------------------------------
-    def _station(self, block_uid: int, slot: int) -> _Station:
+    # (both arrival paths find-or-create the station inline: together
+    # they run once per operand and once per dispatched instruction)
+    def dispatch_inst(self, block_uid: int, seq: int, slot: int,
+                      plan: StationPlan, t: int) -> None:
+        if block_uid not in self.proc.live_uids:
+            return                       # flushed before its GDN stream ended
         per_block = self.stations.get(block_uid)
         if per_block is None:
             per_block = self.stations[block_uid] = {}
         station = per_block.get(slot)
         if station is None:
             station = per_block[slot] = _Station()
-        return station
-
-    def dispatch_inst(self, block_uid: int, seq: int, slot: int, inst,
-                      t: int) -> None:
-        if block_uid not in self.proc.live_uids:
-            return                       # flushed before its GDN stream ended
-        station = self._station(block_uid, slot)
-        station.inst = inst
+        station.plan = plan
         station.seq = seq
         station.dispatch_t = t
-        if self.proc.tel is not None and not station.ready():
+        if self.proc.tel is not None \
+                and station.have & plan.need != plan.need:
             station.waiting = True
             self._tel_waiting += 1
-        self._maybe_ready((block_uid, slot), station, ("dispatch", t))
+        self._maybe_ready(block_uid, slot, station, ("dispatch", t))
 
     def deliver_operand(self, msg: OperandMsg, t: int,
                         hops: int = 0, queue: int = 0, local: bool = False) -> None:
-        if msg.block_uid not in self.proc.live_uids:
+        block_uid = msg.block_uid
+        if block_uid not in self.proc.live_uids:
             return                       # stale packet from a flushed block
-        station = self._station(msg.block_uid, msg.target)
-        if msg.kind is OperandKind.LEFT:
+        slot = msg.target
+        per_block = self.stations.get(block_uid)
+        if per_block is None:
+            per_block = self.stations[block_uid] = {}
+        station = per_block.get(slot)
+        if station is None:
+            station = per_block[slot] = _Station()
+        kind = msg.kind
+        if kind is _LEFT:
             station.left = msg.value
             station.left_null = msg.is_null
-        elif msg.kind is OperandKind.RIGHT:
+            station.have |= _HAVE_LEFT
+        elif kind is _RIGHT:
             station.right = msg.value
             station.right_null = msg.is_null
+            station.have |= _HAVE_RIGHT
         else:
             station.pred = (msg.value, msg.is_null)
+            station.have |= _HAVE_PRED
         release = ("local", msg.producer_key, t) if local else \
             ("operand", msg.producer_key, msg.send_t, hops, queue, t)
-        self._maybe_ready((msg.block_uid, msg.target), station, release)
+        self._maybe_ready(block_uid, slot, station, release)
 
-    def _maybe_ready(self, key, station: _Station, release) -> None:
+    def _maybe_ready(self, block_uid: int, slot: int, station: _Station,
+                     release) -> None:
         """Mark the station issue-ready if this arrival completed it.
 
         ``release`` records the last-arriving requirement, which is what
@@ -174,13 +255,16 @@ class ExecTile:
         never compared.  Commit and flush filter the set by uid, which
         keeps every member's station live and ready.
         """
-        if station.ready():
-            if station.waiting:
-                station.waiting = False
-                self._tel_waiting -= 1
-            station.release = release
-            station.ready_t = self.proc.cycle
-            self.candidates.add((station.seq, key[1], key[0], station))
+        plan = station.plan
+        if plan is None or station.fired or station.dead \
+                or station.have & plan.need != plan.need:
+            return
+        if station.waiting:
+            station.waiting = False
+            self._tel_waiting -= 1
+        station.release = release
+        station.ready_t = self.proc.cycle
+        self.candidates.add((station.seq, slot, block_uid, station))
 
     # -- issue ------------------------------------------------------------
     def tick(self, t: int) -> None:
@@ -191,13 +275,13 @@ class ExecTile:
             return
         best = min(candidates)
         station = best[3]
-        if station.inst.opcode is Opcode.DIVS and self.div_busy_until > t:
+        if station.plan.is_div and self.div_busy_until > t:
             # rare structural hazard: the oldest candidate is a divide
             # waiting on the busy divider; issue the next-oldest
             # non-divide instead (the original scan's behaviour)
             best = None
             for cand in sorted(candidates):
-                if cand[3].inst.opcode is Opcode.DIVS:
+                if cand[3].plan.is_div:
                     continue
                 best = cand
                 break
@@ -206,77 +290,73 @@ class ExecTile:
             station = best[3]
         candidates.discard(best)
         best_key = (best[2], best[1])
-        inst = station.inst
+        plan = station.plan
         # Predicate check at issue: mismatch kills the instruction.
-        if inst.pred is not None:
+        if plan.pred is not None:
             pvalue, pnull = station.pred
-            if pnull or bool(pvalue & 1) != inst.pred:
+            if pnull or bool(pvalue & 1) != plan.pred:
                 station.dead = True
                 return
         station.fired = True
         self.issued += 1
-        if self.proc.tel is not None:
+        proc = self.proc
+        if proc.tel is not None:
             self._tel_issue_t = t
-        block = self.proc.window_by_uid.get(best_key[0])
+        block = proc.window_by_uid.get(best_key[0])
         if block is not None:
             block.fired += 1
-        latency = inst.opcode.latency
-        if inst.opcode is Opcode.DIVS:
+        latency = plan.latency
+        if plan.is_div:
             self.div_busy_until = t + latency
-        if self.proc.trace is not None:
-            ev = self.proc.trace.inst(best_key, inst.opcode.mnemonic)
+        if proc.trace is not None:
+            ev = proc.trace.inst(best_key, plan.mnemonic)
             ev.et = self.index
             ev.dispatch_t = station.dispatch_t
             ev.ready_t = station.ready_t
             ev.issue_t = t
             ev.complete_t = t + latency
             ev.release = station.release
-        self.proc.schedule(t + latency, lambda s=station, k=best_key:
-                           self._complete(k, s))
+        proc.schedule(t + latency, partial(self._complete, best_key, station))
 
     # -- completion / result routing ---------------------------------------
     def _complete(self, key: Tuple[int, int], station: _Station) -> None:
-        t = self.proc.cycle
-        block_uid, slot = key
-        if block_uid not in self.proc.live_uids:
+        proc = self.proc
+        if key[0] not in proc.live_uids:
             return
-        inst = station.inst
-        opclass = inst.opcode.opclass
-        if opclass is OpClass.BRANCH:
-            self._complete_branch(key, station, t)
-            return
-        if inst.opcode.is_memory:
+        t = proc.cycle
+        plan = station.plan
+        kind = plan.kind
+        if kind == PLAN_ALU:
+            if station.left_null or station.right_null:
+                value, is_null = 0, True
+            else:
+                value = plan.alu(station.left, station.right)
+                is_null = False
+        elif kind == PLAN_NULLIFY:
+            value, is_null = 0, True
+        elif kind == PLAN_MEMORY:
             self._complete_memory(key, station, t)
             return
-        if opclass is OpClass.NULLIFY:
-            value, is_null = 0, True
-        elif station.left_null or station.right_null:
-            value, is_null = 0, True
         else:
-            value = execute(inst, station.left, station.right)
-            is_null = False
-        for target in inst.targets:
-            self._route(key, target, value, is_null, t)
-
-    def _route(self, producer_key, target, value, is_null, t) -> None:
-        block_uid = producer_key[0]
-        if target.kind is OperandKind.WRITE:
-            msg = OperandMsg(block_uid, ("W", target.slot), target.kind,
-                             value, is_null, producer_key, t)
-            dest = self.proc.rt_coord(target.slot // 8)
-            self._send(msg, dest, t)
+            self._complete_branch(key, station, t)
             return
-        msg = OperandMsg(block_uid, target.slot, target.kind, value,
-                         is_null, producer_key, t)
-        consumer_et = target.slot % 16
-        if consumer_et == self.index:
-            # local bypass: usable for issue in the next cycle
-            self.deliver_operand(msg, t, local=True)
-        else:
-            self._send(msg, self.proc.et_coord(consumer_et), t)
+        self._route(key, plan.routes, value, is_null, t)
+
+    def _route(self, producer_key, routes, value, is_null, t) -> None:
+        block_uid = producer_key[0]
+        index = self.index
+        for target, kind, dest, consumer_et in routes:
+            msg = OperandMsg(block_uid, target, kind, value, is_null,
+                             producer_key, t)
+            if consumer_et == index:
+                # local bypass: usable for issue in the next cycle
+                self.deliver_operand(msg, t, local=True)
+            else:
+                self._send(msg, dest, t)
 
     def _complete_memory(self, key, station: _Station, t: int) -> None:
-        inst = station.inst
+        plan = station.plan
+        inst = plan.inst
         block = self.proc.window_by_uid.get(key[0])
         if block is None:
             return
@@ -293,33 +373,32 @@ class ExecTile:
                 # A nullified load produces null tokens for its consumers
                 # directly; it never reaches the DT (and loads are not
                 # block outputs, so nothing waits on it).
-                for target in inst.targets:
-                    self._route(key, target, 0, True, t)
+                self._route(key, plan.routes, 0, True, t)
                 return
             address = (station.left + inst.imm) & MASK64
             msg = MemRequest(key[0], block.seq, inst.lsid, False, address,
                              ACCESS_SIZE[inst.opcode], 0, False,
                              inst.opcode in SIGNED_LOADS,
-                             tuple(inst.targets), key, t)
+                             plan.routes, key, t)
         dest = self.proc.dt_coord_for(0 if msg.address is None
                                       else msg.address)
         self._send(msg, dest, t)
 
     def _complete_branch(self, key, station: _Station, t: int) -> None:
-        inst = station.inst
+        plan = station.plan
+        inst = plan.inst
         block = self.proc.window_by_uid.get(key[0])
         if block is None:
             return
-        from .predictor import BT_BRANCH, BT_CALL, BT_RETURN
         if inst.opcode is Opcode.HALT:
             target, btype = 0, BT_BRANCH
         elif inst.opcode is Opcode.BRO:
             target, btype = (block.addr + inst.offset) & MASK64, BT_BRANCH
         elif inst.opcode is Opcode.CALLO:
             target, btype = (block.addr + inst.offset) & MASK64, BT_CALL
-            if inst.targets:
+            if plan.routes:
                 link = (block.addr + block.decoded.block.size_bytes) & MASK64
-                self._route(key, inst.targets[0], link, False, t)
+                self._route(key, plan.routes[:1], link, False, t)
         else:  # BR / RET
             target = station.left & MASK64
             btype = BT_RETURN if inst.opcode is Opcode.RET else BT_BRANCH
@@ -327,7 +406,7 @@ class ExecTile:
         self._send(msg, self.proc.GT_COORD, t)
 
     def _send(self, msg, dest, t) -> None:
-        packet = Packet(src=self.coord, dest=dest, payload=msg)
+        packet = Packet(self.coord, dest, msg)
         if self.outbox:
             self.outbox.append(packet)
             self._drain_outbox()
@@ -396,11 +475,12 @@ class RegTile:
     def __init__(self, proc, bank: int):
         self.proc = proc
         self.bank = bank
-        self.coord = (0, 1 + bank)
+        self.coord = rt_coord(bank)
         # block uid -> {reg -> _WriteEntry}
         self.write_queues: Dict[int, Dict[int, _WriteEntry]] = {}
-        # reads waiting for an in-flight write: (block_uid, reg, read)
-        self.waiting_reads: List[Tuple[int, object]] = []
+        # read requests (block_uid, read slot, (reg, routes), dispatch t);
+        # the ones waiting for an in-flight write park in waiting_reads
+        self.waiting_reads: List[Tuple[int, int, Tuple, int]] = []
         self.read_requests: deque = deque()
         self.outbox: deque = deque()
         self.expected_writes: Dict[int, int] = {}   # uid -> remaining count
@@ -420,8 +500,10 @@ class RegTile:
         if not regs:
             self.proc.rt_reports_writes_done(self.bank, block_uid, t)
 
-    def dispatch_read(self, block_uid: int, read_slot: int, read, t: int) -> None:
-        self.read_requests.append((block_uid, read_slot, read, t))
+    def dispatch_read(self, block_uid: int, read_slot: int, read_plan,
+                      t: int) -> None:
+        """``read_plan`` is the header read's ``(reg, routes)``."""
+        self.read_requests.append((block_uid, read_slot, read_plan, t))
 
     # -- write value arrival ----------------------------------------------
     def deliver_write(self, msg: OperandMsg, t: int) -> None:
@@ -470,16 +552,16 @@ class RegTile:
                 self.waiting_reads.append(item)
 
     def _try_read(self, item, t: int) -> bool:
-        block_uid, read_slot, read, dispatch_t = item
+        block_uid, read_slot, (reg, routes), dispatch_t = item
         if block_uid not in self.proc.live_uids:
             return True
         block = self.proc.window_by_uid[block_uid]
         # search write queues of older in-flight blocks, youngest first
         for older in self.proc.older_blocks(block.seq):
             queue = self.write_queues.get(older.uid)
-            if not queue or read.reg not in queue:
+            if not queue or reg not in queue:
                 continue
-            entry = queue[read.reg]
+            entry = queue[reg]
             if not entry.arrived:
                 return False                       # buffered until it lands
             if entry.is_null:
@@ -490,17 +572,17 @@ class RegTile:
                 release = ("dispatch", dispatch_t)
             else:
                 release = ("regfwd", entry.producer_key, t, entry.arrive_t)
-            self._emit_read_value(block_uid, read_slot, read, entry.value,
+            self._emit_read_value(block_uid, read_slot, routes, entry.value,
                                   release, t)
             self.forwards += 1
             return True
-        value = self.proc.regs[read.reg]
+        value = self.proc.regs[reg]
         self.file_reads += 1
-        self._emit_read_value(block_uid, read_slot, read, value,
+        self._emit_read_value(block_uid, read_slot, routes, value,
                               ("dispatch", dispatch_t), t)
         return True
 
-    def _emit_read_value(self, block_uid, read_slot, read, value, release,
+    def _emit_read_value(self, block_uid, read_slot, routes, value, release,
                          t) -> None:
         key = (block_uid, ("R", read_slot))
         if self.proc.trace is not None:
@@ -509,19 +591,13 @@ class RegTile:
             ev.issue_t = t
             ev.complete_t = t
             ev.release = release
-        for target in read.targets:
-            if target.kind is OperandKind.WRITE:
-                dest = self.proc.rt_coord(target.slot // 8)
-                msg = OperandMsg(block_uid, ("W", target.slot), target.kind,
-                                 value, False, key, t)
-            else:
-                dest = self.proc.et_coord(target.slot % 16)
-                msg = OperandMsg(block_uid, target.slot, target.kind,
-                                 value, False, key, t)
-            if dest == self.coord:
+        coord = self.coord
+        for target, kind, dest, _et in routes:
+            msg = OperandMsg(block_uid, target, kind, value, False, key, t)
+            if dest == coord:
                 self.deliver_write(msg, t)
                 continue
-            self.outbox.append(Packet(src=self.coord, dest=dest, payload=msg))
+            self.outbox.append(Packet(coord, dest, msg))
         self._drain_outbox()
 
     def _drain_outbox(self) -> None:
@@ -739,9 +815,9 @@ class DataTile:
                 self._tel_pending_loads += 1
             self.proc.schedule(
                 t + cfg.l1_hit_cycles,
-                lambda m=msg, v=value, ln=line: self.proc.sysmem.request(
-                    self.proc.sysmem_port_base + self.index, ln, False,
-                    meta=lambda mm=m, vv=v: self._reply(mm, vv, True)))
+                partial(self.proc.sysmem.request,
+                        self.proc.sysmem_port_base + self.index, line, False,
+                        meta=partial(self._reply, msg, value, True)))
             if self.proc.trace is not None:
                 ev = self.proc.trace.inst(msg.producer_key)
                 ev.mem_hops = hops
@@ -758,8 +834,7 @@ class DataTile:
         if self.proc.tel is not None and not hit:
             self._tel_pending_loads += 1
         self.proc.schedule(t + latency,
-                           lambda m=msg, v=value, ms=not hit:
-                           self._reply(m, v, ms))
+                           partial(self._reply, msg, value, not hit))
 
     def _reply(self, msg: MemRequest, value: int, miss: bool = False) -> None:
         t = self.proc.cycle
@@ -769,17 +844,10 @@ class DataTile:
             self._tel_pending_loads -= 1
         if msg.block_uid not in self.proc.live_uids:
             return
-        for target in msg.targets:
-            if target.kind is OperandKind.WRITE:
-                dest = self.proc.rt_coord(target.slot // 8)
-                out = OperandMsg(msg.block_uid, ("W", target.slot),
-                                 target.kind, value, False,
-                                 msg.producer_key, t)
-            else:
-                dest = self.proc.et_coord(target.slot % 16)
-                out = OperandMsg(msg.block_uid, target.slot, target.kind,
-                                 value, False, msg.producer_key, t)
-            self.outbox.append(Packet(src=self.coord, dest=dest, payload=out))
+        for target, kind, dest, _et in msg.targets:
+            out = OperandMsg(msg.block_uid, target, kind, value, False,
+                             msg.producer_key, t)
+            self.outbox.append(Packet(self.coord, dest, out))
         self._drain_outbox()
 
     def _drain_outbox(self) -> None:

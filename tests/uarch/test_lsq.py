@@ -3,7 +3,77 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.uarch.lsq import DependencePredictor, LoadStoreQueue
+from repro.uarch.lsq import DependencePredictor, LoadStoreQueue, LsqEntry
+from repro.uarch.lsq import _overlap
+
+
+class _ReferenceLsq:
+    """The original full-scan LSQ: every lookup walks every entry.
+
+    Kept as the specification the indexed :class:`LoadStoreQueue` must
+    match operation for operation.
+    """
+
+    def __init__(self, capacity=256):
+        self.capacity = capacity
+        self.entries = {}
+        self.peak_occupancy = 0
+
+    def insert_store(self, key, address, size, data, nullified=False):
+        if key in self.entries:
+            raise ValueError(f"duplicate LSQ key {key}")
+        entry = LsqEntry(key=key, is_store=True, address=address, size=size,
+                         data=data, nullified=nullified)
+        self.entries[key] = entry
+        self.peak_occupancy = max(self.peak_occupancy, len(self.entries))
+        if nullified or address is None:
+            return []
+        violators = []
+        for other in self.entries.values():
+            if other.is_store or other.key <= key or other.address is None:
+                continue
+            if _overlap(address, size, other.address, other.size):
+                violators.append(other.key)
+        return sorted(violators)
+
+    def insert_load(self, key, address, size):
+        if key in self.entries:
+            raise ValueError(f"duplicate LSQ key {key}")
+        self.entries[key] = LsqEntry(key=key, is_store=False,
+                                     address=address, size=size)
+        self.peak_occupancy = max(self.peak_occupancy, len(self.entries))
+
+    def forward(self, key, address, size, memory_bytes):
+        result = bytearray(memory_bytes)
+        for skey in sorted(k for k, e in self.entries.items()
+                           if e.is_store and k < key):
+            entry = self.entries[skey]
+            if entry.nullified or entry.address is None:
+                continue
+            lo = max(address, entry.address)
+            hi = min(address + size, entry.address + entry.size)
+            if lo >= hi:
+                continue
+            data = (entry.data & ((1 << (8 * entry.size)) - 1)).to_bytes(
+                entry.size, "little")
+            for b in range(lo, hi):
+                result[b - address] = data[b - entry.address]
+        return int.from_bytes(result, "little")
+
+    def flush_blocks(self, seqs):
+        doomed = [k for k in self.entries if k[0] in seqs]
+        for k in doomed:
+            del self.entries[k]
+        return len(doomed)
+
+    def commit_block(self, seq):
+        keys = sorted(k for k in self.entries if k[0] == seq)
+        out = []
+        for k in keys:
+            entry = self.entries.pop(k)
+            if entry.is_store and not entry.nullified:
+                out.append(entry)
+        return out
 
 
 class TestLsqBasics:
@@ -104,6 +174,60 @@ class TestForwardingProperty:
         expect = int.from_bytes(
             bytes(mem[laddr + i] for i in range(lsize)), "little")
         assert got == expect
+
+
+_op = st.one_of(
+    st.tuples(st.just("store"), st.integers(0, 5), st.integers(0, 31),
+              st.integers(0x100, 0x11F), st.sampled_from([1, 2, 4, 8]),
+              st.integers(0, 2**64 - 1), st.booleans()),
+    st.tuples(st.just("load"), st.integers(0, 5), st.integers(0, 31),
+              st.integers(0x100, 0x11F), st.sampled_from([1, 2, 4, 8])),
+    st.tuples(st.just("commit"), st.integers(0, 5)),
+    st.tuples(st.just("flush"), st.sets(st.integers(0, 5), max_size=3)))
+
+
+class TestIndexedLsqMatchesReference:
+    """Random insert/forward/commit/flush sequences: the indexed LSQ and
+    the full-scan reference agree on every result and every entry."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_op, min_size=1, max_size=60))
+    def test_random_sequence(self, ops):
+        fast, ref = LoadStoreQueue(), _ReferenceLsq()
+        for op in ops:
+            kind = op[0]
+            if kind == "store":
+                _, seq, lsid, addr, size, data, null = op
+                args = ((seq, lsid), None if null else addr, size, data, null)
+                results = []
+                for lsq in (fast, ref):
+                    try:
+                        results.append(lsq.insert_store(*args))
+                    except ValueError:
+                        results.append("duplicate")
+                assert results[0] == results[1]
+            elif kind == "load":
+                _, seq, lsid, addr, size = op
+                results = []
+                for lsq in (fast, ref):
+                    try:
+                        lsq.insert_load((seq, lsid), addr, size)
+                        base = bytes((addr + i) % 251 for i in range(size))
+                        results.append(lsq.forward((seq, lsid), addr, size,
+                                                   base))
+                    except ValueError:
+                        results.append("duplicate")
+                assert results[0] == results[1]
+            elif kind == "commit":
+                got = [(e.key, e.address, e.size, e.data)
+                       for e in fast.commit_block(op[1])]
+                want = [(e.key, e.address, e.size, e.data)
+                        for e in ref.commit_block(op[1])]
+                assert got == want
+            else:
+                assert fast.flush_blocks(op[1]) == ref.flush_blocks(op[1])
+            assert sorted(fast.entries) == sorted(ref.entries)
+            assert fast.peak_occupancy == ref.peak_occupancy
 
 
 class TestDependencePredictor:
