@@ -1,6 +1,6 @@
 """The differential oracle: one program, every independent execution path.
 
-Three check families, each exercising a different seam of the stack:
+Four check families, each exercising a different seam of the stack:
 
 * ``arch`` — architectural outputs.  The TIR interpreter is golden; the
   block-atomic functional simulator (both compile levels), the SRISC/OOO
@@ -11,6 +11,10 @@ Three check families, each exercising a different seam of the stack:
   system (``perfect_l2=False``).
 * ``asm`` — the assembler↔disassembler text round trip must reproduce
   the program's memory image exactly.
+* ``ffwd`` — the sampling fast-forwarder's generated code.  Its cold
+  chained region and its warm per-block functions must leave registers,
+  memory and every ``FunctionalStats`` field (dict key order included)
+  exactly as the token-pump interpreter does, and agree on BBVs.
 
 Any exception raised by a stage (compile error, simulator deadlock) is
 itself a divergence — those are precisely the crashes fuzzing exists to
@@ -20,13 +24,13 @@ find.  Results are plain dicts so shards can ship them through simlab.
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
 from .gen import GenConfig, generate
 
 #: check families in canonical order.
-ALL_CHECKS = ("arch", "engines", "asm")
+ALL_CHECKS = ("arch", "engines", "asm", "ffwd")
 
 #: the two cycle-engine tiers under test (overrides on TripsConfig).
 ENGINE_TIERS = {
@@ -222,6 +226,77 @@ def check_asm(prog) -> List[Divergence]:
 
 
 # ----------------------------------------------------------------------
+# ffwd: the fast-forwarder's compiled paths vs the interpreter
+# ----------------------------------------------------------------------
+#: BBV interval of the two fast-forward paths: short, so the region's
+#: per-call flush runs many times even on a small program
+_FFWD_BBV_INTERVAL = 7
+
+
+def _functional_state(sim) -> dict:
+    """Everything a functional run leaves, dicts as item lists so key
+    order counts."""
+    state = {"pc": sim.pc, "halted": sim.halted,
+             "regs": {str(r): v for r, v in enumerate(sim.regs)},
+             "pages": {hex(a): image.hex()
+                       for a, image in sim.memory.touched_pages()}}
+    for f in fields(sim.stats):
+        value = getattr(sim.stats, f.name)
+        state[f.name] = list(value.items()) if isinstance(value, dict) \
+            else value
+    return state
+
+
+def check_ffwd(prog) -> List[Divergence]:
+    """Cold region and warm per-block fast-forward vs the interpreter."""
+    from ..compiler import compile_tir
+    from ..sampling.ffwd import FastForwarder
+    from ..uarch import FunctionalSim
+
+    out: List[Divergence] = []
+    for level in ("tcc", "hand"):
+        stage = f"ffwd:{level}"
+        try:
+            program = compile_tir(prog, level=level).program
+        except Exception as exc:
+            out.append(_crash(prog.name, stage + ":compile", exc))
+            continue
+        runs = {"interp": lambda: FunctionalSim(program),
+                "region": lambda: FastForwarder(
+                    program, warm=False, bbv_interval=_FFWD_BBV_INTERVAL),
+                "warm": lambda: FastForwarder(
+                    program, warm=True, bbv_interval=_FFWD_BBV_INTERVAL)}
+        sims = {}
+        for path, make in runs.items():
+            try:
+                sim = make()
+                sim.run()
+            except Exception as exc:
+                out.append(_crash(prog.name, f"{stage}:{path}", exc))
+                continue
+            sims[path] = sim
+        if "interp" in sims:
+            want = _functional_state(sims["interp"])
+            for path in ("region", "warm"):
+                if path not in sims:
+                    continue
+                diffs = _stats_diff(want, _functional_state(sims[path]))
+                if diffs:
+                    out.append(Divergence(
+                        prog.name, f"{stage}:{path}",
+                        "diverges from the interpreter: "
+                        + "; ".join(diffs)))
+        if "region" in sims and "warm" in sims:
+            bbvs = [[list(vec.items()) for vec in sims[path].bbv_vectors()]
+                    for path in ("region", "warm")]
+            if bbvs[0] != bbvs[1]:
+                out.append(Divergence(prog.name, f"{stage}:bbvs",
+                                      "region BBVs differ from the warm "
+                                      "path's"))
+    return out
+
+
+# ----------------------------------------------------------------------
 # case / shard drivers
 # ----------------------------------------------------------------------
 def run_case(prog, checks=ALL_CHECKS, nuca: bool = False,
@@ -234,6 +309,8 @@ def run_case(prog, checks=ALL_CHECKS, nuca: bool = False,
         out.extend(check_engines(prog, nuca=nuca, telemetry=telemetry))
     if "asm" in checks:
         out.extend(check_asm(prog))
+    if "ffwd" in checks:
+        out.extend(check_ffwd(prog))
     return out
 
 

@@ -246,6 +246,8 @@ def main(argv=None) -> int:
                   f"({100 * s.coverage:.2f}% cycle-accurate coverage)"
                   + (f", warm horizon {sampling.warm_horizon} blocks"
                      if sampling.warm_horizon is not None else ""))
+            print("  fast-forward blocks: " + ", ".join(
+                f"{path} {count}" for path, count in run.ffwd_blocks.items()))
             if s.phases:
                 windows_by_phase = {}
                 for detail in s.window_detail:

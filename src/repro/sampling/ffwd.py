@@ -28,6 +28,15 @@ Blocks the compiler cannot prove acyclic (a static dataflow cycle is
 legal dead code) or that use a shape it does not model fall back to the
 inherited interpreter per visit — ``fallback_blocks`` counts them.
 
+Cold fast-forward goes one step further.  Because a block commits
+atomically, its effect depends only on its inputs, so compiled blocks
+chain: one generated *region* function per program runs the same block
+code in a loop that dispatches on the PC, with every counter in a
+local, until a block limit, HALT or a block only the interpreter can
+run.  mcf's blocks hold 3–11 instructions, so the per-call work a
+per-block function pays (prologue, ``FunctionalStats`` updates, result
+tuple, the caller's dict increments) was most of a cold block's cost.
+
 The fast-forwarder also maintains *warm microarchitectural state* for
 checkpoints: a :class:`~repro.uarch.predictor.NextBlockPredictor` trained
 with each block's architectural outcome, and I-cache / D-cache / NUCA
@@ -38,16 +47,19 @@ detailed engine's ``lookup``/``fill`` discipline.
 from __future__ import annotations
 
 import struct
+from operator import mul
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..isa import EXIT_ADDRESS, OperandKind, Program, TripsBlock
 from ..isa.alu import _BINOP, _IMMOP, _UNOP
 from ..isa.opcodes import ACCESS_SIZE, Opcode, OpClass, SIGNED_LOADS
+from ..mem.backing import PAGE_MASK, PAGE_SIZE
 from ..mem.mt import MtConfig
 from ..tir import semantics
 from ..uarch.caches import CacheBank
 from ..uarch.config import PROTOTYPE, TripsConfig
-from ..uarch.functional import NULL_TOKEN, FunctionalSim, SimError
+from ..uarch.functional import (NULL_TOKEN, FunctionalSim,
+                                FunctionalStats, SimError)
 from ..uarch.predictor import BT_BRANCH, BT_CALL, BT_RETURN, NextBlockPredictor
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -67,6 +79,8 @@ _FINLINE = {Opcode.FADD: "+", Opcode.FSUB: "-", Opcode.FMUL: "*",
 _FARITH = {Opcode.FADD, Opcode.FSUB, Opcode.FMUL}
 _QS = struct.Struct("<Q")
 _DS = struct.Struct("<d")
+_U2 = struct.Struct("<H").unpack_from
+_U4 = struct.Struct("<I").unpack_from
 
 
 class BlockCompileError(Exception):
@@ -190,11 +204,18 @@ def _expr(inst, A: str, B: str) -> str:
 
 # ----------------------------------------------------------------------
 class _Compiler:
-    """Emits one block's Python source (see module docstring)."""
+    """Emits one block's Python source (see module docstring).
 
-    def __init__(self, block: TripsBlock, addr: int):
+    :meth:`block_lines` is the block itself; :meth:`compile` wraps it in
+    a per-block function and :class:`_Region` chains every block of a
+    program into one loop.  ``track_addrs`` makes loads record
+    their addresses in ``ma`` for cache warming."""
+
+    def __init__(self, block: TripsBlock, addr: int,
+                 track_addrs: bool = True):
         self.block = block
         self.addr = addr
+        self.track_addrs = track_addrs
         self.lines: List[str] = []
         # (slot, kind) -> producer var names; write slot -> producer names
         self.ops: Dict[Tuple[int, OperandKind], List[str]] = {}
@@ -204,8 +225,17 @@ class _Compiler:
         self.fired_const = 0
         self.loads_const = 0
         self.stores_const = 0
-        self.n_branches = sum(
-            1 for i in block.body.values() if i.opcode.is_branch)
+        branches = [i for i in block.body.values() if i.opcode.is_branch]
+        self.n_branches = len(branches)
+        self.exits = sorted({i.exit_no for i in branches})
+        #: a branch whose target is a register value, or HALT, may leave
+        #: the program; every other branch goes to a static block address
+        self.may_halt = any(
+            i.opcode not in (Opcode.BRO, Opcode.CALLO)
+            or (addr + i.offset) & MASK64 == EXIT_ADDRESS for i in branches)
+        self.store_lsids = sorted(i.lsid for i in block.body.values()
+                                  if i.opcode.is_store)
+        self.branch_certain = False     # the only branch always fires
 
     def emit(self, line: str, depth: int = 1) -> None:
         self.lines.append("    " * depth + line)
@@ -378,7 +408,20 @@ class _Compiler:
     def _emit_load(self, inst, var, left, conds, nulls) -> None:
         size = ACCESS_SIZE[inst.opcode]
         ib = inst.imm & MASK64
-        raw = f"_ld(mem, sb, _a, {size}, {inst.lsid})"
+        sb = "sb" if self.store_lsids else "()"
+        slow = f"_ld(mem, {sb}, _a, {size}, {inst.lsid})"
+        # The direct read skips _ld's three calls: ``pages`` is the
+        # BackingStore's own page dict (page number -> 4KB bytearray).
+        # It needs an allocated page (a read of an untouched page
+        # allocates it, in _ld), an access inside that page, and no
+        # buffered store to forward from: either no earlier-LSID store
+        # exists in the block or none has been buffered yet.
+        fast = ["_p is not None"]
+        if size > 1:
+            fast.append(f"_o <= {PAGE_SIZE - size}")
+        if self.store_lsids and self.store_lsids[0] < inst.lsid:
+            fast.append("not sb")
+        direct = "_p[_o]" if size == 1 else f"_u{size}(_p, _o)[0]"
         if inst.opcode in SIGNED_LOADS and size < 8:
             hs, fs = 1 << (8 * size - 1), 1 << (8 * size)
             value = (f"(_v - {fs}) & {MASK64} if _v >= {hs} else _v")
@@ -399,8 +442,14 @@ class _Compiler:
             self.emit("else:", depth)
             depth += 1
         self.emit(f"_a = ({left[0]} + {ib}) & {MASK64}", depth)
-        self.emit("ma.append(_a)", depth)
-        self.emit(f"_v = {raw}", depth)
+        if self.track_addrs:
+            self.emit("ma.append(_a)", depth)
+        self.emit("_p = pages.get(_a >> 12)", depth)
+        self.emit(f"_o = _a & {PAGE_MASK}", depth)
+        self.emit(f"if {' and '.join(fast)}:", depth)
+        self.emit(f"_v = {direct}", depth + 1)
+        self.emit("else:", depth)
+        self.emit(f"_v = {slow}", depth + 1)
         self.emit(f"{var} = {value}", depth)
 
     def _emit_store(self, inst, var, left, right, conds, nulls) -> None:
@@ -437,6 +486,7 @@ class _Compiler:
             self.emit("f += 1", depth)
         else:
             self.fired_const += 1
+            self.branch_certain = self.n_branches == 1
         if self.n_branches > 1:
             self.emit("if nx is not None:", depth)
             self.emit(f"raise SimError('block {self.block.name}: two "
@@ -463,33 +513,27 @@ class _Compiler:
             self.emit(f"bt = {BT_RETURN if op is Opcode.RET else BT_BRANCH}",
                       depth)
 
-    # -- whole-function emission ----------------------------------------
-    def compile(self):
-        block, addr = self.block, self.addr
+    # -- the block itself ------------------------------------------------
+    def block_lines(self) -> List[str]:
+        """The block's code at depth 1: its locals, body, completion
+        checks and commit.  It reads ``regs``/``mem``/``pages``, counts
+        conditional work into ``f``/``lc``/``sc``/``nul`` (initialised
+        by the caller) and leaves the next PC, exit number and branch
+        type in ``nx``/``ex``/``bt``."""
+        block = self.block
         regs_written = [w.reg for w in block.writes.values()]
         if len(set(regs_written)) != len(regs_written):
             raise BlockCompileError("two write slots share a register")
         self._wire()
-        order = self._order()
-
-        name = f"_blk_{addr:x}"
-        self.lines.append(f"def {name}(sim):")
-        self.emit("st = sim.stats")
-        self.emit("regs = sim.regs")
-        self.emit("mem = sim.memory")
-        self.emit("sb = []; ma = []")
-        self.emit("f = 0; lc = 0; sc = 0; nul = 0; sd = 0")
-        self.emit("nx = None; ex = 0; bt = 0")
-        for rslot, read in sorted(block.reads.items()):
-            self.emit(f"r{rslot} = regs[{read.reg}]")
-        for slot in order:
+        for slot in self._order():
             self._emit_inst(slot)
 
         # completion + commit
-        self.emit("if nx is None:")
-        self.emit(f"raise SimError('block {block.name}: no branch fired "
-                  "(deadlock?)')", 2)
-        if block.store_mask:
+        if not self.branch_certain:
+            self.emit("if nx is None:")
+            self.emit(f"raise SimError('block {block.name}: no branch fired "
+                      "(deadlock?)')", 2)
+        if self.store_lsids:
             self.emit(f"if sd != {block.store_mask}:")
             self.emit(f"raise SimError('block {block.name}: store LSIDs "
                       "never signalled')", 2)
@@ -514,21 +558,42 @@ class _Compiler:
             self.emit("nul += 1", 2)
             self.emit("else:")
             self.emit(f"regs[{write.reg}] = _w", 2)
-        if any(i.opcode.is_store for i in block.body.values()):
+        if self.store_lsids:
             self.emit("if sb:")
             self.emit("sb.sort()", 2)
             self.emit("for _s in sb:", 2)
             self.emit("mem.write(_s[1], _s[3], _s[2])", 3)
-            self.emit("msa = [_s[1] for _s in sb]")
-        else:
-            self.emit("msa = ()")
+
+        head = []
+        if self.store_lsids:
+            head.append("sb = []; sd = 0")
+        if not self.branch_certain:
+            head.append("nx = None")
+        head += [f"r{rslot} = regs[{read.reg}]"
+                 for rslot, read in sorted(block.reads.items())]
+        return ["    " + line for line in head] + self.lines
+
+    # -- per-block function ---------------------------------------------
+    def compile(self):
+        block = self.block
+        lines = self.block_lines()
+        name = f"_blk_{self.addr:x}"
+        self.lines = [f"def {name}(sim):"]
+        self.emit("st = sim.stats")
+        self.emit("regs = sim.regs")
+        self.emit("mem = sim.memory")
+        self.emit("pages = mem._pages")
+        self.emit("ma = []")
+        self.emit("f = 0; lc = 0; sc = 0; nul = 0")
+        self.lines += lines
+        self.emit("msa = [_s[1] for _s in sb]" if self.store_lsids
+                  else "msa = ()")
         fired_all = self.fired_const + self.loads_const + self.stores_const
         self.emit(f"st.fired += {fired_all} + f + lc + sc")
         if self.loads_const or any(i.opcode.is_load
                                    for i in block.body.values()):
             self.emit(f"st.loads += {self.loads_const} + lc")
-        if self.stores_const or any(i.opcode.is_store
-                                    for i in block.body.values()):
+        if self.store_lsids:
             self.emit(f"st.stores += {self.stores_const} + sc")
         if block.reads:
             self.emit(f"st.reads += {len(block.reads)}")
@@ -537,16 +602,21 @@ class _Compiler:
         self.emit("_b = st.branches_by_exit")
         self.emit("_b[ex] = _b.get(ex, 0) + 1")
         self.emit("return nx, ex, bt, ma, msa")
+        return _define(self.lines, name, f"<ffwd:{block.name}>")
 
-        source = "\n".join(self.lines) + "\n"
-        namespace = {"N": NULL_TOKEN, "SimError": SimError, "_ld": _ld,
-                     "_binop": semantics.binop, "_unop": semantics.unop,
-                     "_qp": _QS.pack, "_qu": _QS.unpack,
-                     "_dp": _DS.pack, "_du": _DS.unpack}
-        exec(compile(source, f"<ffwd:{block.name}>", "exec"), namespace)
-        fn = namespace[name]
-        fn.__ffwd_source__ = source
-        return fn
+
+def _define(lines: List[str], name: str, filename: str, **extra):
+    """Compile generated source and return its function ``name``."""
+    source = "\n".join(lines) + "\n"
+    namespace = {"N": NULL_TOKEN, "SimError": SimError, "_ld": _ld,
+                 "_binop": semantics.binop, "_unop": semantics.unop,
+                 "_qp": _QS.pack, "_qu": _QS.unpack,
+                 "_dp": _DS.pack, "_du": _DS.unpack,
+                 "_u2": _U2, "_u4": _U4, "_u8": _QS.unpack_from, **extra}
+    exec(compile(source, filename, "exec"), namespace)
+    fn = namespace[name]
+    fn.__ffwd_source__ = source
+    return fn
 
 
 def compile_block(block: TripsBlock, addr: int):
@@ -554,6 +624,150 @@ def compile_block(block: TripsBlock, addr: int):
     btype, load_addrs, store_addrs)``; raises :class:`BlockCompileError`
     when the block needs the interpreter."""
     return _Compiler(block, addr).compile()
+
+
+# ----------------------------------------------------------------------
+class _Region:
+    """Every compilable block of one program chained into one loop.
+
+    ``fn(sim, stop)`` runs blocks from ``sim.pc`` until
+    ``sim.stats.blocks`` reaches ``stop``, the program halts, or the PC
+    names a block outside the region (one only the interpreter runs).
+    Each block's code is :meth:`_Compiler.block_lines`, the same as in
+    its per-block function; the loop dispatches on ``pc`` with a binary
+    search over the block addresses.  Between blocks nothing leaves
+    locals: ``f``/``lc``/``sc``/``nul`` accumulate over the whole call,
+    each block counts its visits in ``v<i>`` and, when it has more than
+    one exit, its exits in ``e<i>_<exit>``.  The first visit of a block
+    (and first use of a block's exit) in a call inserts a zero key into
+    ``block_visits``, the current BBV and ``branches_by_exit``, so every
+    dict keeps the insertion order of the per-block path; :meth:`flush`
+    adds the counts when the call ends, normally or by exception.
+    """
+
+    def __init__(self, program: Program):
+        self.addrs: List[int] = []
+        self.fired: List[int] = []
+        self.loads: List[int] = []
+        self.stores: List[int] = []
+        self.reads: List[int] = []
+        #: exit number per counter of ``visits + exits`` (see flush);
+        #: None for the visit counter of a block with several exits
+        self.exit_keys: List[Optional[int]] = []
+        exit_counters: List[str] = []
+        counter_exits: List[int] = []
+        leaves: List[Tuple[int, List[str]]] = []
+        for addr, block in sorted(program.blocks.items()):
+            comp = _Compiler(block, addr, track_addrs=False)
+            try:
+                lines = comp.block_lines()
+            except BlockCompileError:
+                continue
+            i = len(self.addrs)
+            self.addrs.append(addr)
+            self.fired.append(comp.fired_const + comp.loads_const
+                              + comp.stores_const)
+            self.loads.append(comp.loads_const)
+            self.stores.append(comp.stores_const)
+            self.reads.append(len(block.reads))
+            self.exit_keys.append(comp.exits[0] if len(comp.exits) == 1
+                                  else None)
+            tail = [f"if v{i}:", f"    v{i} += 1", "else:",
+                    f"    v{i} = 1",
+                    f"    bv.setdefault({addr}, 0)",
+                    f"    cur.setdefault({addr}, 0)"]
+            if len(comp.exits) == 1:
+                tail.append(f"    bx.setdefault({comp.exits[0]}, 0)")
+            elif len(comp.exits) > 1:
+                for j, k in enumerate(comp.exits):
+                    var = f"e{i}_{k}"
+                    exit_counters.append(var)
+                    counter_exits.append(k)
+                    tail.append("else:" if j == len(comp.exits) - 1
+                                else f"{'elif' if j else 'if'} ex == {k}:")
+                    tail += [f"    if {var}:", f"        {var} += 1",
+                             "    else:", f"        {var} = 1",
+                             f"        bx.setdefault({k}, 0)"]
+            tail.append("n += 1")
+            if comp.may_halt:
+                tail += [f"if nx == {EXIT_ADDRESS}:", "    hl = True",
+                         "    break"]
+            tail.append("pc = nx")
+            leaves.append((addr, lines + ["    " + line for line in tail]))
+        self.exit_keys += counter_exits
+
+        visits = [f"v{i}" for i in range(len(self.addrs))]
+        out = ["def _region(sim, stop):",
+               "    regs = sim.regs",
+               "    mem = sim.memory",
+               "    pages = mem._pages",
+               "    st = sim.stats",
+               "    bv = st.block_visits",
+               "    bx = st.branches_by_exit",
+               "    cur = sim._bbv_cur",
+               "    if cur is None:",
+               "        cur = {}",
+               "    pc = sim.pc",
+               "    n = st.blocks",
+               "    hl = False",
+               "    f = 0; lc = 0; sc = 0; nul = 0"]
+        if visits or exit_counters:
+            out.append("    " + " = ".join(visits + exit_counters) + " = 0")
+        out += ["    try:", "        while n < stop:"]
+        out += _dispatch(leaves, 3)
+        out += ["    finally:",
+                "        _flush(sim, pc, n, hl, f, lc, sc, nul, "
+                f"({''.join(v + ', ' for v in visits)}), "
+                f"({''.join(e + ', ' for e in exit_counters)}))"]
+        self.fn = _define(out, "_region", f"<ffwd:region@{program.entry:x}>",
+                          _flush=self.flush)
+
+    def flush(self, sim, pc, n, halted, f, lc, sc, nul, visits, exits):
+        """Fold one call's local counts into ``sim``."""
+        st = sim.stats
+        ran = n - st.blocks
+        st.blocks = n
+        sim.pc = pc
+        sim.halted = halted
+        sim.region_blocks += ran
+        sim.unwarmed_blocks += ran
+        st.fired += f + lc + sc + sum(map(mul, visits, self.fired))
+        st.loads += lc + sum(map(mul, visits, self.loads))
+        st.stores += sc + sum(map(mul, visits, self.stores))
+        st.reads += sum(map(mul, visits, self.reads))
+        st.nullified_outputs += nul
+        bv = st.block_visits
+        cur = sim._bbv_cur
+        for addr, count in zip(self.addrs, visits):
+            if count:
+                bv[addr] += count
+                if cur is not None:
+                    cur[addr] += count
+        bx = st.branches_by_exit
+        for exit_no, count in zip(self.exit_keys, visits + exits):
+            if count and exit_no is not None:
+                bx[exit_no] += count
+        if ran and cur is not None and n % sim.bbv_interval == 0:
+            sim.bbvs.append(cur)
+            sim._bbv_cur = {}
+
+
+def _dispatch(leaves: List[Tuple[int, List[str]]], depth: int) -> List[str]:
+    """A binary search on ``pc`` over ``leaves`` (sorted by address);
+    an address outside them leaves the loop."""
+    pad = "    " * depth
+    if not leaves:
+        return [pad + "break"]
+    if len(leaves) == 1:
+        addr, lines = leaves[0]
+        return ([f"{pad}if pc == {addr}:"]
+                + ["    " * depth + line for line in lines]
+                + [f"{pad}else:", f"{pad}    break"])
+    mid = len(leaves) // 2
+    return ([f"{pad}if pc < {leaves[mid][0]}:"]
+            + _dispatch(leaves[:mid], depth + 1)
+            + [f"{pad}else:"]
+            + _dispatch(leaves[mid:], depth + 1))
 
 
 # ----------------------------------------------------------------------
@@ -572,15 +786,25 @@ class FastForwarder(FunctionalSim):
       theirs (``mt_banks`` is ``None`` under ``perfect_l2``),
     * ``run_blocks(n)`` — stop at a block boundary for checkpointing.
 
-    ``warm=False`` skips all of that and just executes fast (~3.5x the
-    warm throughput); ``unwarmed_blocks`` counts how many blocks ran
-    that way, so a checkpoint can report how stale its warm state is.
+    ``warm=False`` skips all of that and just executes fast:
+    ``run_blocks`` then runs the program's blocks chained in one compiled
+    region (:class:`_Region`) instead of one ``step_block`` call each:
+    on mcf x512, 860-1010 kblocks/s against 98-108 for the warm
+    per-block path (2-CPU x86-64 host, Python 3.11; EXPERIMENTS.md);
+    ``unwarmed_blocks`` counts how many blocks ran that way, so a
+    checkpoint can report how stale its warm state is.  ``step_block``
+    stays the one-block-at-a-time path, warm or cold, and the reference
+    the region is tested against.
 
     ``bbv_interval=N`` additionally accumulates one basic-block vector
     (static block address -> committed count) per N retired blocks — the
-    raw material for :mod:`~repro.sampling.phases`.  The counts ride the
-    per-block dispatch that ``step_block`` already does, so collection
-    costs one dict increment per block on top of the compiled closures.
+    raw material for :mod:`~repro.sampling.phases`.  A region call never
+    crosses an interval boundary, so its visit counts are the vector.
+
+    Where blocks went, counted per path: ``region_blocks`` (cold,
+    chained), ``warm_blocks`` (warm, one compiled function per visit),
+    ``fallback_blocks`` (the interpreter, for blocks the compiler
+    rejects) and ``teleported_blocks`` (skipped by ``restore_arch``).
     """
 
     def __init__(self, program: Program, config: TripsConfig = PROTOTYPE,
@@ -604,7 +828,11 @@ class FastForwarder(FunctionalSim):
         self.mt_banks = None if config.perfect_l2 else \
             [CacheBank(mt.size_kb * 1024, mt.assoc, mt.line_bytes)
              for _ in range(16)]
+        self.region_blocks = 0
+        self.warm_blocks = 0
         self.fallback_blocks = 0
+        self.teleported_blocks = 0
+        self._region: Optional[_Region] = None
         self._fns: Dict[int, object] = {}
         self._meta: Dict[int, Tuple[int, int]] = {}  # addr -> (chunks, fall)
         # MRU memos: skip cache touches that provably change no tag state
@@ -645,6 +873,7 @@ class FastForwarder(FunctionalSim):
             nx, ex, bt, ma, msa = fn(self)
             if self.warm:
                 self._warm_block(addr, nx, ex, bt, ma, msa)
+                self.warm_blocks += 1
             else:
                 self.unwarmed_blocks += 1
         st.blocks += 1
@@ -684,6 +913,7 @@ class FastForwarder(FunctionalSim):
         if ckpt.blocks < st.blocks:
             raise ValueError("restore_arch only jumps forward")
         self.unwarmed_blocks += ckpt.blocks - st.blocks
+        self.teleported_blocks += ckpt.blocks - st.blocks
         self.pc = ckpt.pc
         self.halted = ckpt.halted
         self.regs[:] = ckpt.regs
@@ -700,8 +930,35 @@ class FastForwarder(FunctionalSim):
         while not self.halted and st.blocks < n:
             if st.blocks >= self.max_blocks:
                 raise SimError(f"block budget {self.max_blocks} exhausted")
-            self.step_block()
+            if self.warm or not self._run_region(n):
+                self.step_block()
         return st.blocks
+
+    def run(self) -> FunctionalStats:
+        """Execute until HALT, through ``run_blocks`` (so a cold run
+        takes the region)."""
+        self.run_blocks(self.max_blocks + 1)
+        return self.stats
+
+    def _run_region(self, n: int) -> bool:
+        """Run cold blocks chained towards block ``n``, stopping early at
+        the block budget and the next BBV boundary; False when the block
+        at ``pc`` is outside the region."""
+        if self._region is None:
+            self._region = _Region(self.program)
+        blocks = self.stats.blocks
+        stop = min(n, self.max_blocks)
+        if self.bbv_interval:
+            stop = min(stop, blocks - blocks % self.bbv_interval
+                       + self.bbv_interval)
+        self._region.fn(self, stop)
+        return self.stats.blocks != blocks
+
+    def block_paths(self) -> Dict[str, int]:
+        """Blocks per execution path (see the class docstring)."""
+        return {"region": self.region_blocks, "warm": self.warm_blocks,
+                "fallback": self.fallback_blocks,
+                "teleported": self.teleported_blocks}
 
     # ------------------------------------------------------------------
     def _warm_block(self, addr, nx, ex, bt, ma, msa) -> None:

@@ -90,6 +90,11 @@ def project_bbvs(bbvs: Sequence[Dict[int, int]], dims: int = 16,
     for vec in bbvs:
         total = sum(vec.values()) or 1
         point = [0.0] * dims
+        # Float sums depend on their order, and this one follows each
+        # BBV's insertion order (first visit within the interval).  A
+        # collector that fills its dicts in another order moves the
+        # points, hence the phase plan and every sampled digest;
+        # tests/sampling/test_region.py pins that order.
         for addr, count in vec.items():
             w = count / total
             row = signs[addr]

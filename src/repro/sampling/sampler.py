@@ -146,6 +146,15 @@ class SamplingConfig:
         return base + int((2 * u - 1.0) * span)
 
 
+def _block_paths(*ffs: FastForwarder) -> Dict[str, int]:
+    """Blocks per fast-forward path, summed over ``ffs``."""
+    total: Dict[str, int] = {}
+    for ff in ffs:
+        for path, count in ff.block_paths().items():
+            total[path] = total.get(path, 0) + count
+    return total
+
+
 def _counter_snapshot(stats) -> Dict[str, int]:
     return {name: getattr(stats, name) for name in RATE_FIELDS}
 
@@ -299,6 +308,7 @@ def _run_clustered(program, config: TripsConfig,
     sampled = aggregate_phases(windows, prof.stats.blocks,
                                prof.stats.fired, prof.stats.reads,
                                k=k, phase_weights=weights)
+    sampled.ffwd_blocks = _block_paths(prof, ff)
     return sampled, prof, summaries, plan
 
 
@@ -353,6 +363,7 @@ def run_sampled_program(program, config: TripsConfig = PROTOTYPE,
 
     sampled = aggregate(windows, ff.stats.blocks, ff.stats.fired,
                         ff.stats.reads)
+    sampled.ffwd_blocks = _block_paths(ff)
     return sampled, ff, summaries
 
 
@@ -373,6 +384,12 @@ class SampledRun:
     @property
     def ipc(self) -> float:
         return self.sampled.ipc_est
+
+    @property
+    def ffwd_blocks(self) -> Dict[str, int]:
+        """Blocks per fast-forward path (region, warm, fallback,
+        teleported) over every fast-forwarder of the run."""
+        return self.sampled.ffwd_blocks
 
 
 def run_sampled_workload(workload, level: str = "tcc",

@@ -120,6 +120,12 @@ class SampledProcStats:
     window_detail: List[dict] = field(default_factory=list)
     phases: int = 0
     phase_weights: List[float] = field(default_factory=list)
+    #: blocks per fast-forward path, summed over the run's
+    #: fast-forwarders (``FastForwarder.block_paths``): how the host got
+    #: through the program, not an estimate, so it stays out of
+    #: ``to_dict`` and of equality
+    ffwd_blocks: Dict[str, int] = field(default_factory=dict,
+                                        compare=False)
 
     @property
     def coverage(self) -> float:
@@ -133,6 +139,7 @@ class SampledProcStats:
         data["rates"] = dict(self.rates)
         data["rates_ci"] = dict(self.rates_ci)
         data["window_detail"] = list(self.window_detail)
+        del data["ffwd_blocks"]
         if not self.phases:             # defaults-off: PR-7 record format
             del data["phases"]
             del data["phase_weights"]

@@ -19,6 +19,18 @@ class TestRunCommand:
         assert record["cycles"] == record["stats"]["cycles"] > 0
         assert record["stats"]["blocks_committed"] > 0
 
+    def test_sampled_text_mode_reports_fast_forward_paths(self, capsys):
+        assert main(["run", "mcf", "--size", "8", "--sample", "--phases",
+                     "--interval", "400", "--warmup", "50", "--measure",
+                     "100", "--warm-horizon", "100"]) == 0
+        out = capsys.readouterr().out
+        line = next(l for l in out.splitlines()
+                    if "fast-forward blocks:" in l)
+        counts = dict(part.rsplit(" ", 1) for part in
+                      line.split(": ", 1)[1].split(", "))
+        assert list(counts) == ["region", "warm", "fallback", "teleported"]
+        assert int(counts["region"]) > 0 and int(counts["warm"]) > 0
+
 
 class TestTable3Command:
     def test_text_mode(self, capsys):

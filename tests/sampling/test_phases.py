@@ -239,6 +239,14 @@ class TestTeleport:
             program, config=TripsConfig(), sampling=cfg)
         assert json.dumps(fast.to_dict(), sort_keys=True) \
             == json.dumps(slow.to_dict(), sort_keys=True)
+        # the per-path block ledger tells the two apart, outside the
+        # record: the teleported blocks are the cold blocks not executed
+        paths, walked = fast.ffwd_blocks, slow.ffwd_blocks
+        assert "ffwd_blocks" not in fast.to_dict()
+        assert paths["teleported"] > 0 == walked["teleported"]
+        assert paths["warm"] == walked["warm"]
+        assert paths["region"] + paths["teleported"] == walked["region"]
+        assert paths["fallback"] == walked["fallback"] == 0
 
 
 class TestClusteredRunDeterminism:
