@@ -28,7 +28,7 @@ def test_fig2_tile_counts(benchmark, results_dir):
     cfg = proc.config
     lines = ["Figure 2 per-core tile census:"]
     counts = {"GT": 1, "RT": len(proc.rts), "DT": len(proc.dts),
-              "ET": len(proc.ets), "IT": cfg.num_its}
+              "ET": len(proc.ets), "IT": len(proc.icache)}
     for k, v in counts.items():
         lines.append(f"  {k} x {v}")
     save(results_dir, "fig2_topology.txt", "\n".join(lines))

@@ -12,8 +12,13 @@ Usage::
                                 [--warmup B] [--measure B] [--phases]
                                 [--phase-windows N] [--max-phases K]
                                 [--warm-horizon B]]
+    python -m repro.harness bench [workload ...] [--smoke] [--repeat N]
+                                  [--out FILE] [--baseline FILE] [--json]
     python -m repro.harness sbench [--smoke] [--out FILE]
-                                   [--baseline FILE]
+                                   [--baseline FILE] [--json]
+    python -m repro.harness profile <workload> [--level hand|tcc]
+                                    [--mem l2perfect|nuca] [--top N]
+                                    [--slow] [--sort KEY]
     python -m repro.harness inspect <workload> [--level hand|tcc]
                                     [--mem l2perfect|nuca]
                                     [--perfetto out.json] [--json]
@@ -35,9 +40,15 @@ NUCA hierarchy spends its extra cycles (see :mod:`repro.metrics.diff`).
 ``run --sample`` switches to sampled + checkpointed simulation
 (:mod:`repro.sampling`): architectural results stay exact, cycles/IPC
 become estimates with 95% confidence intervals, and ``--size`` scales the
-input far past what full simulation can afford.  ``sbench`` measures the
-sampled-vs-full error and effective speedup on scaled workloads and
-writes ``BENCH_sampling.json``.
+input far past what full simulation can afford.
+
+``bench`` times both cycle engines over the Table 3 sweep and checks
+their ``ProcStats`` are identical (``BENCH_engine.json``); ``sbench``
+measures the sampled-vs-full error and effective speedup on scaled
+workloads (``BENCH_sampling.json``).  Both write the same report
+envelope, and ``--baseline`` diffs either against an earlier report of
+its kind with one comparator (:mod:`repro.harness.bench`).  This module
+is the harness's only command line.
 
 ``table3`` submits its per-benchmark jobs through :mod:`repro.simlab`;
 ``--workers``/``--cache`` opt into parallel execution and result caching

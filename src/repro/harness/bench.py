@@ -18,6 +18,12 @@ compiler.
 
 The report is written to ``BENCH_engine.json`` at the repo root (override
 with ``--out``); ``--smoke`` selects a three-workload subset for CI.
+
+This module also holds what both benchmark reports share (``sbench``
+uses it too): the report envelope and writer (:func:`finish_report`),
+:func:`provenance`, and the ``--baseline`` comparator
+(:func:`compare_to_baseline`) with its one :data:`REGRESSION_THRESHOLD`.
+A :class:`BaselineRule` says how each kind of report is diffed.
 """
 
 from __future__ import annotations
@@ -26,11 +32,10 @@ import json
 import math
 import platform
 import subprocess
-import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..compiler import compile_tir
 from ..uarch.config import TripsConfig
@@ -80,54 +85,86 @@ def _timed_run(program, config: TripsConfig,
     return stats, best
 
 
-#: regression gate: fail when the matched-case geomean fast-engine
-#: throughput drops below this fraction of the baseline report's
+#: regression gate: a report regresses when the geomean of its gated
+#: metric over the cases it shares with the baseline drops below this
+#: fraction of the baseline's (both ``bench`` and ``sbench``)
 REGRESSION_THRESHOLD = 0.90
 
 
-def compare_to_baseline(report: Dict, baseline: Dict, log=None) -> Dict:
-    """Per-case and geomean throughput deltas against an earlier report.
+@dataclass(frozen=True)
+class BaselineRule:
+    """How one kind of report is matched to and gated against a baseline."""
 
-    Cases are matched on (workload, level, mem); the verdict's
-    ``regressed`` flag trips when the geomean fast-engine throughput
-    over the matched cases drops more than 10% below the baseline
-    (:data:`REGRESSION_THRESHOLD`).  Baselines from a different host are
-    still compared — the note in the log is the reader's cue that
-    absolute deltas may reflect hardware, not code.
+    #: row fields that identify a case
+    key: Tuple[str, ...]
+    #: case name, formatted from the key fields
+    case: str
+    #: higher-is-better row field gated on its matched-case geomean ratio
+    metric: str
+    #: row fields shown beside the metric, baseline value and now
+    carry: Tuple[str, ...] = ()
+    #: per-case trigger ``(row, base) -> bool`` that regresses the verdict
+    #: whatever the geomean; the cases it trips are listed under
+    #: ``trigger_key``
+    trigger: Optional[Callable[[Dict, Dict], bool]] = None
+    trigger_key: str = ""
+
+
+ENGINE_RULE = BaselineRule(key=("workload", "level", "mem"), case="{}@{}/{}",
+                           metric="fast_kcycles_per_s")
+
+
+def _quiet(message: str) -> None:
+    pass
+
+
+def compare_to_baseline(report: Dict, baseline: Dict, rule: BaselineRule,
+                        log=None) -> Dict:
+    """Per-case and geomean deltas of ``rule.metric`` against an earlier
+    report.
+
+    Cases are matched on ``rule.key``; a case the baseline lacks (or
+    recorded with a zero/absent metric) is skipped with a warning, not
+    an error.  The verdict's ``regressed`` flag trips when the
+    matched-case geomean ratio drops below :data:`REGRESSION_THRESHOLD`,
+    or when ``rule.trigger`` fires on any matched case.  Baselines from
+    a different host are still compared; the note in the log is the
+    reader's cue that the deltas may reflect hardware, not code.
     """
-    def say(message: str) -> None:
-        if log is not None:
-            log(message)
-
-    base_rows = {(r["workload"], r["level"], r["mem"]): r
+    say = log or _quiet
+    metric = rule.metric
+    base_rows = {tuple(r[f] for f in rule.key): r
                  for r in baseline.get("results", [])}
     rows: List[Dict] = []
     ratios: List[float] = []
     skipped: List[str] = []
+    tripped: List[str] = []
     for row in report["results"]:
-        case = (row["workload"], row["level"], row["mem"])
+        case = tuple(row[f] for f in rule.key)
+        name = rule.case.format(*case)
         base = base_rows.get(case)
-        if base is None or not base.get("fast_kcycles_per_s"):
-            # an older baseline predating a workload (or recorded with a
-            # zero/absent throughput) is not an error: warn and compare
-            # the cases both reports actually share
-            skipped.append("{}@{}/{}".format(*case))
-            say(f"warning: no baseline for {skipped[-1]} — skipped")
+        if base is None or not base.get(metric):
+            skipped.append(name)
+            say(f"warning: no baseline for {name} — skipped")
             continue
-        ratio = row["fast_kcycles_per_s"] / base["fast_kcycles_per_s"]
+        ratio = row[metric] / base[metric]
         ratios.append(ratio)
-        rows.append({
-            "workload": row["workload"], "level": row["level"],
-            "mem": row["mem"],
-            "baseline_kcycles_per_s": base["fast_kcycles_per_s"],
-            "fast_kcycles_per_s": row["fast_kcycles_per_s"],
-            "ratio": round(ratio, 3),
-        })
-        say(f"{row['workload']:>10s} @ {row['level']:<4s} "
-            f"{row['mem']:<9s} base {base['fast_kcycles_per_s']:8.1f} "
-            f"now {row['fast_kcycles_per_s']:8.1f} kcyc/s   x{ratio:.3f}")
+        trips = rule.trigger is not None and rule.trigger(row, base)
+        if trips:
+            tripped.append(name)
+        out = dict(zip(rule.key, case))
+        for field_name in (metric,) + rule.carry:
+            out[f"baseline_{field_name}"] = base[field_name]
+            out[field_name] = row[field_name]
+        out["ratio"] = round(ratio, 3)
+        rows.append(out)
+        say(f"{name:>20s} {metric} {base[metric]:8.2f} -> "
+            f"{row[metric]:8.2f}   x{ratio:.3f}"
+            + "".join(f"   {f} {base[f]} -> {row[f]}" for f in rule.carry)
+            + (f"   {rule.trigger_key}" if trips else ""))
     geomean = _geomean(ratios)
-    regressed = bool(ratios) and geomean < REGRESSION_THRESHOLD
+    regressed = bool(ratios) and geomean < REGRESSION_THRESHOLD \
+        or bool(tripped)
     verdict = {
         "baseline_git_rev": baseline.get("git_rev", "unknown"),
         "baseline_host": baseline.get("host", "unknown"),
@@ -140,15 +177,43 @@ def compare_to_baseline(report: Dict, baseline: Dict, log=None) -> Dict:
         "regressed": regressed,
         "rows": rows,
     }
+    if rule.trigger is not None:
+        verdict[rule.trigger_key] = tripped
     say(f"baseline delta: geomean x{geomean:.3f} over {len(rows)} "
         f"matched cases (threshold x{REGRESSION_THRESHOLD:.2f})"
         + (f", {len(skipped)} skipped" if skipped else "")
+        + (f", {rule.trigger_key}: {len(tripped)}" if tripped else "")
         + ("   REGRESSION" if regressed else ""))
     if baseline.get("host") not in (None, report.get("host")):
         say(f"note: baseline was recorded on host "
-            f"{baseline.get('host')!r}; absolute deltas may reflect "
+            f"{baseline.get('host')!r}; deltas may reflect "
             f"hardware, not code")
     return verdict
+
+
+def finish_report(benchmark: str, suite: str, results: List[Dict],
+                  summary: Dict, rule: BaselineRule,
+                  out: Optional[str] = None, baseline: Optional[str] = None,
+                  log=None) -> Dict:
+    """The report envelope both benchmarks share: ``benchmark``,
+    ``suite``, :func:`provenance`, ``cases``, the benchmark's own
+    ``summary`` fields and ``results``.  With ``baseline`` (an earlier
+    report's path) it gains a ``baseline_delta`` verdict from
+    :func:`compare_to_baseline`; with ``out`` it is written as JSON."""
+    say = log or _quiet
+    report = {"benchmark": benchmark, "suite": suite, **provenance(),
+              "cases": len(results), **summary, "results": results}
+    if baseline:
+        with open(baseline) as fh:
+            base_report = json.load(fh)
+        report["baseline_delta"] = compare_to_baseline(report, base_report,
+                                                       rule, log=log)
+    if out:
+        with open(out, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        say(f"wrote {out}")
+    return report
 
 
 def run_bench(smoke: bool = False, repeat: int = 2,
@@ -157,10 +222,7 @@ def run_bench(smoke: bool = False, repeat: int = 2,
               baseline: Optional[str] = None,
               log=None) -> Dict:
     """Run the engine benchmark; returns (and optionally writes) the report."""
-    def say(message: str) -> None:
-        if log is not None:
-            log(message)
-
+    say = log or _quiet
     results: List[Dict] = []
     mismatches: List[str] = []
     programs: Dict[Tuple[str, str], object] = {}
@@ -199,13 +261,11 @@ def run_bench(smoke: bool = False, repeat: int = 2,
     geomean = _geomean(speedups)
     by_mem = {mem: _geomean([row["speedup"] for row in results
                              if row["mem"] == mem]) for mem in MEM_MODES}
-    report = {
-        "benchmark": "engine-throughput",
-        "suite": "smoke" if smoke else "table3",
+    say(f"geomean speedup x{geomean:.2f} over {len(results)} cases "
+        f"({', '.join(f'{mem} x{value:.2f}' for mem, value in by_mem.items())})"
+        + ("" if not mismatches else f"; MISMATCHES: {mismatches}"))
+    summary = {
         "repeat": repeat,
-        "python": platform.python_version(),
-        **provenance(),
-        "cases": len(results),
         "equivalent": not mismatches,
         "mismatches": mismatches,
         "geomean_speedup": round(geomean, 3),
@@ -215,22 +275,10 @@ def run_bench(smoke: bool = False, repeat: int = 2,
             [row["fast_kcycles_per_s"] for row in results]), 1),
         "geomean_slow_kcycles_per_s": round(_geomean(
             [row["slow_kcycles_per_s"] for row in results]), 1),
-        "results": results,
     }
-    say(f"geomean speedup x{geomean:.2f} over {len(results)} cases "
-        f"({', '.join(f'{mem} x{value:.2f}' for mem, value in by_mem.items())})"
-        + ("" if not mismatches else f"; MISMATCHES: {mismatches}"))
-    if baseline:
-        with open(baseline) as fh:
-            base_report = json.load(fh)
-        report["baseline_delta"] = compare_to_baseline(report, base_report,
-                                                       log=log)
-    if out:
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        say(f"wrote {out}")
-    return report
+    return finish_report("engine-throughput",
+                         "smoke" if smoke else "table3", results, summary,
+                         ENGINE_RULE, out=out, baseline=baseline, log=log)
 
 
 def _git_rev() -> str:
@@ -263,29 +311,3 @@ def _geomean(values: List[float]) -> float:
     if not positive:
         return 0.0
     return math.exp(sum(math.log(v) for v in positive) / len(positive))
-
-
-def main(argv=None) -> int:
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="repro.harness.bench",
-        description="Engine throughput: fast path vs. escape hatch.")
-    parser.add_argument("workloads", nargs="*", default=None)
-    parser.add_argument("--smoke", action="store_true")
-    parser.add_argument("--repeat", type=int, default=2)
-    parser.add_argument("--out", default="BENCH_engine.json")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="earlier BENCH_engine.json to diff against; "
-                        "exits 1 on a >10%% geomean throughput drop")
-    args = parser.parse_args(argv)
-    report = run_bench(smoke=args.smoke, repeat=args.repeat,
-                       workloads=args.workloads or None, out=args.out,
-                       baseline=args.baseline,
-                       log=lambda message: print(message, file=sys.stderr))
-    if report.get("baseline_delta", {}).get("regressed"):
-        return 1
-    return 0 if report["equivalent"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
-import sys
 from typing import Optional
 
 from ..compiler import compile_tir
@@ -50,30 +49,3 @@ def profile_workload(workload: str, level: str = "tcc",
         out.write("\n--- by self time ---\n")
         ps.sort_stats("tottime").print_stats(top)
     return out.getvalue()
-
-
-def main(argv=None) -> int:
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="repro.harness.profile",
-        description="cProfile the simulation loop of one workload.")
-    parser.add_argument("workload")
-    parser.add_argument("--level", default="tcc", choices=["tcc", "hand"])
-    parser.add_argument("--mem", default="l2perfect",
-                        choices=["l2perfect", "nuca"])
-    parser.add_argument("--top", type=int, default=25, metavar="N",
-                        help="functions per table (default 25)")
-    parser.add_argument("--slow", action="store_true",
-                        help="profile the full-scan engine instead")
-    parser.add_argument("--sort", default="cumulative",
-                        choices=["cumulative", "tottime", "ncalls"])
-    args = parser.parse_args(argv)
-    print(profile_workload(args.workload, level=args.level, mem=args.mem,
-                           top=args.top,
-                           fast_path=False if args.slow else None,
-                           sort=args.sort))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -261,6 +261,3 @@ class SecondaryMemory:
         per_line = 2 * (DATA_FLITS + 1) + 2 * self.config.mt.bank_latency
         return self.cycle + lines * per_line
 
-    def run_idle(self, cycles: int) -> None:
-        for _ in range(cycles):
-            self.step()

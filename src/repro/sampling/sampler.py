@@ -21,8 +21,9 @@ ordinary full simulation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..compiler import compile_tir
 from ..tir import TirProgram, interpret
@@ -212,6 +213,50 @@ def _full_run_window(program, config: TripsConfig, telemetry,
         counters=_counter_snapshot(stats), lsq_peak=stats.lsq_peak, **tags)
 
 
+def _sample_windows(program, config: TripsConfig, ff: FastForwarder,
+                    sampling: SamplingConfig, points: Iterable,
+                    telemetry, summaries: List[dict],
+                    restarts: Sequence[ArchCheckpoint] = ()
+                    ) -> List[WindowSample]:
+    """Measure one detailed window per ``(start, tags)`` sample point
+    until the program ends.
+
+    ``ff`` is fast-forwarded to each window's warmup start: cold up to
+    the warming horizon when ``sampling.warm_horizon`` is set, warm after
+    it.  ``restarts`` are architectural snapshots in block order; the
+    cold stretch teleports to the latest one it reaches instead of
+    re-executing (none: no teleport).  ``tags`` go to the
+    :class:`WindowSample`.
+    """
+    horizon = sampling.warm_horizon
+    windows: List[WindowSample] = []
+    ri = 0                      # next snapshot to consider
+    for start, tags in points:
+        start = max(start, ff.stats.blocks)
+        warm_start = max(0, start - sampling.warmup_blocks)
+        if horizon is not None:
+            cold_target = max(ff.stats.blocks, warm_start - horizon)
+            jump = None
+            while ri < len(restarts) and \
+                    restarts[ri].blocks <= cold_target:
+                jump = restarts[ri]
+                ri += 1
+            if jump is not None and jump.blocks > ff.stats.blocks:
+                ff.restore_arch(jump)
+            ff.warm = False
+            ff.run_blocks(cold_target)
+            ff.warm = True
+        ff.run_blocks(warm_start)
+        if ff.halted:
+            break
+        window = _detailed_window(program, config, ff, start,
+                                  sampling.measure_blocks, telemetry,
+                                  summaries, **tags)
+        if window is not None:
+            windows.append(window)
+    return windows
+
+
 def _run_clustered(program, config: TripsConfig,
                    sampling: SamplingConfig, telemetry,
                    max_blocks: int) -> Tuple[SampledProcStats,
@@ -247,7 +292,7 @@ def _run_clustered(program, config: TripsConfig,
     prof = FastForwarder(program, config, warm=False,
                          max_blocks=max_blocks,
                          bbv_interval=sampling.interval_blocks)
-    restarts: List["ArchCheckpoint"] = []
+    restarts: List[ArchCheckpoint] = []
     boundary = sampling.interval_blocks
     while not prof.halted:
         prof.run_blocks(boundary)
@@ -262,40 +307,18 @@ def _run_clustered(program, config: TripsConfig,
                        seed=sampling.phase_seed,
                        max_phases=sampling.max_phases)
 
-    horizon = sampling.warm_horizon
-    ff = FastForwarder(program, config, warm=(horizon is None),
+    ff = FastForwarder(program, config,
+                       warm=(sampling.warm_horizon is None),
                        max_blocks=max_blocks)
-    windows: List[WindowSample] = []
     summaries: List[dict] = []
-    ri = 0                      # next profiling snapshot to consider
     # a program shorter than two clustering intervals has no phase
     # structure to exploit — skip straight to the full-simulation
     # fallback below (exact, single phase) instead of estimating the
     # whole program with one partial window and an unbounded CI
-    for win in (plan.windows if plan.n_intervals > 1 else ()):
-        start = max(win.start_block, ff.stats.blocks)
-        warm_start = max(0, start - sampling.warmup_blocks)
-        if horizon is not None:
-            cold_target = max(ff.stats.blocks, warm_start - horizon)
-            jump = None
-            while ri < len(restarts) and \
-                    restarts[ri].blocks <= cold_target:
-                jump = restarts[ri]
-                ri += 1
-            if jump is not None and jump.blocks > ff.stats.blocks:
-                ff.restore_arch(jump)
-            ff.warm = False
-            ff.run_blocks(cold_target)
-            ff.warm = True
-        ff.run_blocks(warm_start)
-        if ff.halted:
-            break
-        window = _detailed_window(program, config, ff, start,
-                                  sampling.measure_blocks, telemetry,
-                                  summaries, phase=win.phase,
-                                  weight=win.weight)
-        if window is not None:
-            windows.append(window)
+    points = ((win.start_block, {"phase": win.phase, "weight": win.weight})
+              for win in (plan.windows if plan.n_intervals > 1 else ()))
+    windows = _sample_windows(program, config, ff, sampling, points,
+                              telemetry, summaries, restarts)
 
     k, weights = plan.k, plan.weights
     if not windows:
@@ -334,26 +357,10 @@ def run_sampled_program(program, config: TripsConfig = PROTOTYPE,
             program, config or PROTOTYPE, sampling, telemetry, max_blocks)
         return sampled, ff, summaries
     ff = FastForwarder(program, config, warm=True, max_blocks=max_blocks)
-    windows: List[WindowSample] = []
     summaries: List[dict] = []
-    k = 0
-    horizon = sampling.warm_horizon
-    while not ff.halted:
-        start = max(sampling.window_start(k), ff.stats.blocks)
-        k += 1
-        warm_start = max(0, start - sampling.warmup_blocks)
-        if horizon is not None:
-            ff.warm = False
-            ff.run_blocks(max(ff.stats.blocks, warm_start - horizon))
-            ff.warm = True
-        ff.run_blocks(warm_start)
-        if ff.halted:
-            break
-        window = _detailed_window(program, config, ff, start,
-                                  sampling.measure_blocks, telemetry,
-                                  summaries)
-        if window is not None:
-            windows.append(window)
+    points = ((sampling.window_start(k), {}) for k in itertools.count())
+    windows = _sample_windows(program, config, ff, sampling, points,
+                              telemetry, summaries)
 
     if not windows:
         # program shorter than one sampling period: fall back to one

@@ -20,7 +20,6 @@ class PredictorConfig:
     choice_bits: int = 12 * 1024      # tournament chooser
     btb_bits: int = 20 * 1024         # branch target buffer
     ctb_bits: int = 6 * 1024          # call target buffer
-    ras_bits: int = 7 * 1024          # return address stack
     btype_bits: int = 12 * 1024       # branch type predictor
     exit_history_len: int = 10        # 3-bit exits folded into history
     #: "static" disables all dynamic structures (ablation), "gshare"
@@ -30,14 +29,11 @@ class PredictorConfig:
 
 @dataclass
 class TripsConfig:
-    """The prototype processor core."""
+    """The prototype processor core.
 
-    # --- topology (fixed by the tile layout, Figure 2) -----------------
-    et_rows: int = 4
-    et_cols: int = 4
-    num_rts: int = 4
-    num_dts: int = 4
-    num_its: int = 5
+    The tile counts are not parameters: the model is the prototype's
+    fixed layout of Figure 2 (1 GT, 4 RTs, 4 DTs, 5 ITs, a 4x4 ET array).
+    """
 
     # --- block window ----------------------------------------------------
     max_blocks_in_flight: int = 8     # 1 non-speculative + 7 speculative
@@ -45,13 +41,9 @@ class TripsConfig:
 
     # --- fetch (Section 4.1) ---------------------------------------------
     predict_cycles: int = 3
-    tag_access_cycles: int = 1
-    hit_miss_cycles: int = 1
     dispatch_commands: int = 8        # pipelined GDN indices per block
-    it_insts_per_cycle: int = 4       # each IT streams 4 insts/cycle east
 
     # --- execution ---------------------------------------------------------
-    stations_per_et: int = 64         # 8 insts x 8 blocks
     #: operands one link can carry per cycle (the paper's future-work
     #: extension is "more operand network bandwidth": ablation knob).
     opn_links_per_hop: int = 1
@@ -64,8 +56,6 @@ class TripsConfig:
     l1i_assoc: int = 2
     line_bytes: int = 64
     l1_hit_cycles: int = 2            # DT cache access
-    dt_mshr_entries: int = 16
-    dt_outstanding_lines: int = 4
 
     # --- LSQ / dependence prediction (Section 3.5) -------------------------
     lsq_entries: int = 256            # replicated at every DT
@@ -98,10 +88,6 @@ class TripsConfig:
     def with_overrides(self, **kwargs) -> "TripsConfig":
         """A copy with some fields replaced (ablation helper)."""
         return replace(self, **kwargs)
-
-    @property
-    def num_ets(self) -> int:
-        return self.et_rows * self.et_cols
 
     @property
     def window_size(self) -> int:

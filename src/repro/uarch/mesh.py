@@ -153,14 +153,11 @@ class WormholeMesh:
 
     def __init__(self, rows: int, cols: int, vcs: int = 1,
                  queue_depth: int = 2, lanes: int = 1,
-                 route_order: str = "row_first", fast_path: bool = True):
-        if route_order not in ("row_first", "col_first"):
-            raise ValueError(f"bad route order {route_order!r}")
+                 fast_path: bool = True):
         self.rows = rows
         self.cols = cols
         self.vcs = vcs
         self.lanes = lanes
-        self.route_order = route_order
         #: False = the reference engine: scan every router every cycle
         #: (the original algorithm), for timing cross-validation
         self.fast_path = fast_path
@@ -609,18 +606,14 @@ class WormholeMesh:
             done.clear()
 
     # ------------------------------------------------------------------
-    def _next_hop(self, at: Coord, dest: Coord) -> int:
+    @staticmethod
+    def _next_hop(at: Coord, dest: Coord) -> int:
+        """Dimension-order routing: rows first, then columns."""
         row, col = at
-        if self.route_order == "row_first":
-            if row != dest[0]:
-                return _SOUTH if dest[0] > row else _NORTH
-            if col != dest[1]:
-                return _EAST if dest[1] > col else _WEST
-        else:
-            if col != dest[1]:
-                return _EAST if dest[1] > col else _WEST
-            if row != dest[0]:
-                return _SOUTH if dest[0] > row else _NORTH
+        if row != dest[0]:
+            return _SOUTH if dest[0] > row else _NORTH
+        if col != dest[1]:
+            return _EAST if dest[1] > col else _WEST
         return _LOCAL   # at destination: eject
 
     @staticmethod
@@ -628,11 +621,6 @@ class WormholeMesh:
         row, col = node
         return {(_NORTH): (row - 1, col), _SOUTH: (row + 1, col),
                 _EAST: (row, col + 1), _WEST: (row, col - 1)}[out_port]
-
-    @staticmethod
-    def _entry_port(out_port: int) -> int:
-        """Which input port of the neighbour a move through ``out_port`` fills."""
-        return _ENTRY[out_port]
 
     # ------------------------------------------------------------------
     def step(self) -> None:

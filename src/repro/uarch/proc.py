@@ -360,9 +360,6 @@ class TripsProcessor:
     def dt_index(self, address: int) -> int:
         return (address >> 6) % 4
 
-    def l2_latency(self, address: int) -> int:
-        return self.config.l2_hit_cycles     # detailed NUCA path: repro.mem
-
     def schedule(self, at_cycle: int, fn) -> None:
         floor = self.cycle + 1
         if at_cycle < floor:
@@ -1131,7 +1128,3 @@ class TripsProcessor:
                 if need > wake:
                     wake = need
         return wake
-
-    # ------------------------------------------------------------------
-    def architectural_state(self) -> Tuple[List[int], BackingStore]:
-        return self.regs, self.memory

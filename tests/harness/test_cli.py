@@ -1,7 +1,9 @@
 """``python -m repro.harness`` CLI, including the ``--json`` mode."""
 
+import itertools
 import json
 
+from repro.harness import bench
 from repro.harness.__main__ import main
 
 
@@ -63,3 +65,38 @@ class TestOtherCommands:
     def test_table1(self, capsys):
         assert main(["table1"]) == 0
         assert "GT" in capsys.readouterr().out
+
+
+class TestBenchCommand:
+    """``bench --baseline`` exit codes.  The clock is faked so that every
+    timed run takes exactly 10 ms: throughput is then a pure function of
+    the simulated cycles, and the gate's verdict does not depend on host
+    noise."""
+
+    def _bench(self, monkeypatch, *args):
+        ticks = itertools.count()
+        monkeypatch.setattr(bench.time, "perf_counter",
+                            lambda: next(ticks) * 0.01)
+        return main(["bench", "vadd", "--repeat", "1", *args])
+
+    def test_baseline_gate_exit_codes(self, tmp_path, monkeypatch, capsys):
+        first = tmp_path / "first.json"
+        assert self._bench(monkeypatch, "--out", str(first)) == 0
+        # against itself: every matched case at x1.000
+        again = tmp_path / "again.json"
+        assert self._bench(monkeypatch, "--out", str(again),
+                           "--baseline", str(first)) == 0
+        verdict = json.loads(again.read_text())["baseline_delta"]
+        assert verdict["matched_cases"] == 4    # tcc, hand x 2 memories
+        assert verdict["geomean_ratio"] == 1.0
+        # against a baseline twice as fast: geomean x0.5, below x0.90
+        inflated = json.loads(first.read_text())
+        for row in inflated["results"]:
+            row["fast_kcycles_per_s"] *= 2
+        fast = tmp_path / "fast.json"
+        fast.write_text(json.dumps(inflated))
+        assert self._bench(monkeypatch, "--out", str(again),
+                           "--baseline", str(fast)) == 1
+        verdict = json.loads(again.read_text())["baseline_delta"]
+        assert verdict["regressed"] is True
+        assert "REGRESSION" in capsys.readouterr().err
